@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace adapex {
@@ -104,17 +105,16 @@ class ThreadPool {
   /// hardware_concurrency when unset (or 1 if even that is unknown).
   /// Throws ConfigError on a non-positive or non-numeric value.
   static std::size_t env_thread_count() {
-    const char* env = std::getenv("ADAPEX_THREADS");
-    if (env == nullptr || *env == '\0') {
+    const std::optional<std::string> env = env_value("ADAPEX_THREADS");
+    if (!env) {
       const unsigned hw = std::thread::hardware_concurrency();
       return hw == 0 ? 1 : static_cast<std::size_t>(hw);
     }
     char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1) {
-      throw ConfigError(std::string("ADAPEX_THREADS must be a positive "
-                                    "integer, got '") +
-                        env + "'");
+    const long v = std::strtol(env->c_str(), &end, 10);
+    if (*end != '\0' || v < 1) {
+      throw ConfigError("ADAPEX_THREADS must be a positive integer, got '" +
+                        *env + "'");
     }
     return static_cast<std::size_t>(v);
   }

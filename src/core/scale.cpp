@@ -1,6 +1,6 @@
 #include "core/scale.hpp"
 
-#include <cstdlib>
+#include "common/env.hpp"
 
 namespace adapex {
 
@@ -44,8 +44,7 @@ ExperimentScale ExperimentScale::paper() {
 }
 
 ExperimentScale ExperimentScale::from_env() {
-  const char* env = std::getenv("ADAPEX_SCALE");
-  const std::string name = env ? env : "small";
+  const std::string name = env_value("ADAPEX_SCALE").value_or("small");
   if (name == "tiny") return tiny();
   if (name == "small") return small_scale();
   if (name == "medium") return medium();

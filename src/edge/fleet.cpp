@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <set>
-#include <sstream>
 
+#include "common/metric_writer.hpp"
 #include "common/rng.hpp"
 
 namespace adapex {
@@ -144,8 +142,8 @@ Json workload_to_json(const WorkloadSpec& w) {
   return j;
 }
 
-/// Fleet-scalar visitor — single source of truth for JSON and CSV, like
-/// EdgeMetrics' visit_metric_scalars.
+/// Fleet-scalar visitor — single source of truth for JSON and CSV
+/// (common/metric_writer.hpp).
 template <typename Fn>
 void visit_fleet_scalars(const FleetMetrics& m, Fn&& fn) {
   fn("offered", static_cast<double>(m.offered));
@@ -168,12 +166,6 @@ void visit_fleet_scalars(const FleetMetrics& m, Fn&& fn) {
   fn("ejections", static_cast<double>(m.ejections));
   fn("events", static_cast<double>(m.events));
   fn("duration_s", m.duration_s);
-}
-
-void check_finite(const char* name, double value) {
-  ADAPEX_CHECK(std::isfinite(value),
-               std::string("FleetMetrics::") + name +
-                   " is not finite — refusing to serialize");
 }
 
 }  // namespace
@@ -669,11 +661,8 @@ Json TenantMetrics::to_json() const {
 }
 
 Json FleetMetrics::to_json() const {
-  Json j = Json::object();
-  visit_fleet_scalars(*this, [&](const char* name, double value) {
-    check_finite(name, value);
-    j[name] = value;
-  });
+  Json j = metric_writer::to_json(
+      "FleetMetrics", [this](auto&& fn) { visit_fleet_scalars(*this, fn); });
   Json tens = Json::array();
   for (const TenantMetrics& t : tenants) tens.push_back(t.to_json());
   j["tenants"] = std::move(tens);
@@ -684,25 +673,13 @@ Json FleetMetrics::to_json() const {
 }
 
 std::string FleetMetrics::csv_header() {
-  std::string out;
-  visit_fleet_scalars(FleetMetrics{}, [&](const char* name, double) {
-    if (!out.empty()) out += ",";
-    out += name;
-  });
-  return out;
+  return metric_writer::csv_header(
+      [](auto&& fn) { visit_fleet_scalars(FleetMetrics{}, fn); });
 }
 
 std::string FleetMetrics::csv_row() const {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  bool first = true;
-  visit_fleet_scalars(*this, [&](const char* name, double value) {
-    check_finite(name, value);
-    if (!first) os << ",";
-    os << value;
-    first = false;
-  });
-  return os.str();
+  return metric_writer::csv_row(
+      "FleetMetrics", [this](auto&& fn) { visit_fleet_scalars(*this, fn); });
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
+#include "common/metric_writer.hpp"
 #include "edge/device_sim.hpp"
 
 namespace adapex {
@@ -87,8 +85,7 @@ analysis::LintReport lint_scenario_fields(const EdgeScenario& scenario) {
 }
 
 /// Visits every scalar metric in one fixed order — the single source of
-/// truth for both the JSON and CSV writers, so the two artifacts cannot
-/// drift apart.
+/// truth for the JSON and CSV writers (common/metric_writer.hpp).
 template <typename Fn>
 void visit_metric_scalars(const EdgeMetrics& m, Fn&& fn) {
   fn("offered", static_cast<double>(m.offered));
@@ -131,12 +128,6 @@ void visit_metric_scalars(const EdgeMetrics& m, Fn&& fn) {
   fn("duration_s", m.duration_s);
 }
 
-void check_metric_finite(const char* name, double value) {
-  ADAPEX_CHECK(std::isfinite(value),
-               std::string("EdgeMetrics::") + name +
-                   " is not finite — refusing to serialize");
-}
-
 }  // namespace
 
 analysis::LintReport lint_edge_scenario(const EdgeScenario& scenario) {
@@ -164,34 +155,18 @@ void require_valid_edge_scenario(const EdgeScenario& scenario,
 }
 
 Json EdgeMetrics::to_json() const {
-  Json j = Json::object();
-  visit_metric_scalars(*this, [&](const char* name, double value) {
-    check_metric_finite(name, value);
-    j[name] = value;
-  });
-  return j;
+  return metric_writer::to_json(
+      "EdgeMetrics", [this](auto&& fn) { visit_metric_scalars(*this, fn); });
 }
 
 std::string EdgeMetrics::csv_header() {
-  std::string out;
-  visit_metric_scalars(EdgeMetrics{}, [&](const char* name, double) {
-    if (!out.empty()) out += ",";
-    out += name;
-  });
-  return out;
+  return metric_writer::csv_header(
+      [](auto&& fn) { visit_metric_scalars(EdgeMetrics{}, fn); });
 }
 
 std::string EdgeMetrics::csv_row() const {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  bool first = true;
-  visit_metric_scalars(*this, [&](const char* name, double value) {
-    check_metric_finite(name, value);
-    if (!first) os << ",";
-    os << value;
-    first = false;
-  });
-  return os.str();
+  return metric_writer::csv_row(
+      "EdgeMetrics", [this](auto&& fn) { visit_metric_scalars(*this, fn); });
 }
 
 WorkloadSpec workload_spec_from(const EdgeScenario& scenario) {

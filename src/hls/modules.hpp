@@ -5,7 +5,9 @@
 //   - SWU  (Sliding Window Unit): im2col generator feeding a conv MVTU.
 //   - MVTU (Matrix-Vector-Threshold Unit): PE x SIMD array executing a conv
 //     or fc layer; BatchNorm and activation quantization are absorbed into
-//     its threshold stage, exactly as FINN streamlines them.
+//     its threshold stage, as in FINN. The stage is costed from the
+//     activation bit width alone; the executable form of that folding is
+//     the frozen PackedModel (nn/quant.hpp).
 //   - Pool: max-pool unit.
 //   - Branch: AXI-stream duplicator inserted at an exit attachment point
 //     (the paper's new HLS module); buffers the tapped feature map stream.

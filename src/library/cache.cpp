@@ -1,11 +1,11 @@
 #include "library/cache.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/integrity.hpp"
 
 namespace adapex {
@@ -243,8 +243,7 @@ Library generate_or_load_library(const LibraryGenSpec& spec,
 }
 
 std::string default_artifact_dir() {
-  const char* env = std::getenv("ADAPEX_ARTIFACTS");
-  return env ? env : "artifacts";
+  return env_value("ADAPEX_ARTIFACTS").value_or("artifacts");
 }
 
 }  // namespace adapex

@@ -1,9 +1,8 @@
 #include "nn/eval.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <numeric>
+#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -47,30 +46,25 @@ void evaluate_batches(ForwardFn&& forward, const Dataset& test, int batch_size,
 }
 
 /// Fans worker(begin_batch, end_batch) out over a thread pool in contiguous
-/// chunks, rethrowing the first worker exception.
+/// chunks; ThreadPool::wait() rethrows the first worker exception. One
+/// thread runs the whole grid inline.
 template <typename WorkerFn>
 void parallel_batches(std::size_t threads, int num_batches,
                       WorkerFn&& worker) {
+  if (threads <= 1) {
+    worker(0, num_batches);
+    return;
+  }
   ThreadPool pool(threads);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   const int chunk = (num_batches + static_cast<int>(threads) - 1) /
                     static_cast<int>(threads);
   for (std::size_t t = 0; t < threads; ++t) {
     const int begin = static_cast<int>(t) * chunk;
     const int end = std::min(begin + chunk, num_batches);
     if (begin >= end) break;
-    pool.submit([&worker, &error_mutex, &first_error, begin, end] {
-      try {
-        worker(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
+    pool.submit([&worker, begin, end] { worker(begin, end); });
   }
   pool.wait();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 /// Resolves the effective path: kEnv reads ADAPEX_PACKED, kAuto probes
@@ -119,15 +113,6 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
     // scratch), so no clone is needed. Batch grid and result slots are the
     // same as the float path — byte-identical at any thread count.
     const PackedModel frozen = freeze_packed(model);
-    if (threads <= 1) {
-      PackedScratch scratch;
-      evaluate_batches(
-          [&frozen, &scratch](const Tensor& batch) {
-            return packed_forward(frozen, batch, scratch);
-          },
-          test, batch_size, 0, num_batches, order.data(), eval);
-      return eval;
-    }
     parallel_batches(threads, num_batches, [&](int begin, int end) {
       PackedScratch scratch;
       evaluate_batches(
@@ -139,22 +124,14 @@ ExitEvaluation evaluate_exits(BranchyModel& model, const Dataset& test,
     return eval;
   }
 
-  if (threads <= 1) {
-    evaluate_batches(
-        [&model](const Tensor& batch) {
-          return model.forward(batch, /*train=*/false);
-        },
-        test, batch_size, 0, num_batches, order.data(), eval);
-    return eval;
-  }
-
   // Deterministic parallelism: the batch grid is fixed by batch_size, each
   // worker takes a contiguous chunk of batches and writes disjoint
-  // per-sample slots, and each worker clones the model once (forward mutates
-  // layer caches even in eval mode). Results are byte-identical to the
-  // serial path at any thread count.
+  // per-sample slots, and each concurrent worker clones the model once
+  // (forward mutates layer caches even in eval mode). Results are
+  // byte-identical to the serial path at any thread count.
   parallel_batches(threads, num_batches, [&](int begin, int end) {
-    BranchyModel local = model.clone();
+    std::optional<BranchyModel> clone;
+    BranchyModel& local = threads > 1 ? clone.emplace(model.clone()) : model;
     evaluate_batches(
         [&local](const Tensor& batch) {
           return local.forward(batch, /*train=*/false);

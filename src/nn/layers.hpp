@@ -137,6 +137,10 @@ class QuantLinear : public Layer {
 /// and [N,C] inputs (2-D inputs are treated as H=W=1).
 class BatchNorm : public Layer {
  public:
+  /// Variance epsilon; the frozen packed path (nn/quant.hpp) folds the same
+  /// value so its codes match the float path bit for bit.
+  static constexpr float kEps = 1e-5f;
+
   explicit BatchNorm(int channels);
 
   Tensor forward(const Tensor& input, bool train) override;
@@ -154,7 +158,7 @@ class BatchNorm : public Layer {
   /// Pruning surgery: keep only the listed channels (ascending order).
   void slice_channels(const std::vector<int>& keep);
 
-  // State access for serialization and streamlining.
+  // State access for serialization and freezing.
   const Tensor& gamma() const { return gamma_.value; }
   const Tensor& beta() const { return beta_.value; }
   const Tensor& running_mean() const { return running_mean_; }

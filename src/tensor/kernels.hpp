@@ -25,9 +25,7 @@
 // implementation is faster per call: the direct kernels fall back to the
 // scalar reference form when N is narrower than one sliver or when A is
 // mostly exact zeros (pruned/quantized weights), where the naive zero-skip
-// beats packing. ADAPEX_KERNEL_MIN_DENSITY overrides the measured density
-// crossover (0 = always blocked, >1 = always scalar) for tuning. The choice
-// never changes the output bytes.
+// beats packing. The choice never changes the output bytes.
 
 #pragma once
 

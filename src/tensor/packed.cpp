@@ -1,7 +1,7 @@
 // Bit-plane packing + popcount-GEMM dispatch (see packed.hpp for the
 // layout and the popcount identity; packed_core.inl for the tier bodies).
 //
-// Mirrors the float kernel layer's dispatch (tensor/kernels.cpp): the tier
+// Shares the float kernel layer's dispatcher (common/isa.hpp): the tier
 // bodies are compiled under `#pragma GCC target` regions, the widest tier
 // the host CPU supports is picked once at startup, ADAPEX_PACKED_ISA
 // overrides it, and force_isa() re-pins it for tests. Unlike the float
@@ -12,12 +12,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
@@ -256,77 +256,30 @@ using GemmFn = void (*)(const PackedWeights&, const PackedActivations&,
 
 struct PackedTable {
   const char* name;
+  isa::Feature feature;
   GemmFn gemm;
 };
 
-constexpr PackedTable kScalarTable{"scalar", &scalar::tier_popcount_gemm};
+// Widest first; see common/isa.hpp.
+constexpr PackedTable kTiers[] = {
 #ifdef ADAPEX_P_MULTIVERSION
-constexpr PackedTable kAvx2Table{"avx2", &avx2::tier_popcount_gemm};
-constexpr PackedTable kAvx512Table{"avx512", &avx512::tier_popcount_gemm};
-constexpr PackedTable kAvx512VpTable{"avx512vp",
-                                     &avx512vp::tier_popcount_gemm};
+    {"avx512vp", isa::Feature::kAvx512Vp, &avx512vp::tier_popcount_gemm},
+    {"avx512", isa::Feature::kAvx512, &avx512::tier_popcount_gemm},
+    {"avx2", isa::Feature::kAvx2, &avx2::tier_popcount_gemm},
 #endif
+    {"scalar", isa::Feature::kBaseline, &scalar::tier_popcount_gemm},
+};
 
-bool host_supports(const std::string& name) {
-  if (name == "scalar") return true;
-#ifdef ADAPEX_P_MULTIVERSION
-  if (name == "avx2") return __builtin_cpu_supports("avx2") != 0;
-  if (name == "avx512") {
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0 &&
-           __builtin_cpu_supports("avx512dq") != 0;
-  }
-  if (name == "avx512vp") {
-    return host_supports("avx512") &&
-           __builtin_cpu_supports("avx512vpopcntdq") != 0;
-  }
-#endif
-  return false;
-}
-
-const PackedTable& table_for(const std::string& name) {
-#ifdef ADAPEX_P_MULTIVERSION
-  if (name == "avx512vp") return kAvx512VpTable;
-  if (name == "avx512") return kAvx512Table;
-  if (name == "avx2") return kAvx2Table;
-#endif
-  if (name == "scalar") return kScalarTable;
-  throw ConfigError("unknown packed ISA '" + name +
-                    "' (expected avx512vp|avx512|avx2|scalar)");
-}
-
-const PackedTable* select_table(const std::string& name) {
-  if (!host_supports(name)) {
-    throw ConfigError("packed ISA '" + name + "' not supported by this CPU");
-  }
-  return &table_for(name);
-}
-
-const PackedTable* initial_table() {
-  if (const char* env = std::getenv("ADAPEX_PACKED_ISA");
-      env != nullptr && *env != '\0') {
-    return select_table(env);
-  }
-  for (const char* name : {"avx512vp", "avx512", "avx2"}) {
-    if (host_supports(name)) return &table_for(name);
-  }
-  return &kScalarTable;
-}
-
-const PackedTable*& active_table() {
-  static const PackedTable* table = initial_table();
-  return table;
+isa::Dispatcher<PackedTable>& dispatcher() {
+  static isa::Dispatcher<PackedTable> d("packed", kTiers, "ADAPEX_PACKED_ISA");
+  return d;
 }
 
 }  // namespace
 
-const char* active_isa() { return active_table()->name; }
+const char* active_isa() { return dispatcher().active().name; }
 
-void force_isa(const char* name) {
-  ADAPEX_CHECK(name != nullptr, "force_isa: null name");
-  active_table() = select_table(name);
-}
+void force_isa(const char* name) { dispatcher().force(name); }
 
 void popcount_gemm(const PackedWeights& weights, const PackedActivations& acts,
                    const Epilogue& epilogue) {
@@ -334,7 +287,7 @@ void popcount_gemm(const PackedWeights& weights, const PackedActivations& acts,
                "popcount_gemm: reduction length mismatch (" +
                    std::to_string(weights.k) + " vs " +
                    std::to_string(acts.k) + ")");
-  active_table()->gemm(weights, acts, epilogue);
+  dispatcher().active().gemm(weights, acts, epilogue);
 }
 
 }  // namespace adapex::packed

@@ -1,5 +1,5 @@
 // Integration tests across the whole stack: design-time flow -> runtime
-// serving, streamlined inference of pruned models, and cross-validation of
+// serving, frozen integer inference of pruned models, and cross-validation of
 // the analytical accelerator model against the event-driven simulator on
 // real (trained, pruned) models.
 
@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "core/adapex.hpp"
-#include "finn/streamline.hpp"
+#include "nn/quant.hpp"
 
 namespace adapex {
 namespace {
@@ -71,10 +71,10 @@ TEST(Integration, AllPoliciesServeWithoutError) {
   }
 }
 
-TEST(Integration, PrunedModelStreamlinesAndMatches) {
-  // Train, prune, retrain, streamline — integer inference must still match
-  // the float model on a pruned network (exercises pruning surgery +
-  // threshold folding together).
+TEST(Integration, PrunedModelFreezesPackedAndMatches) {
+  // Train, prune, retrain, freeze — packed integer inference must still
+  // match the float model on a pruned network (exercises pruning surgery +
+  // BatchNorm/quantizer folding together).
   auto spec = flow().spec;
   SyntheticDataset data = make_synthetic(spec.dataset);
   Rng rng(spec.seed + 1);
@@ -93,12 +93,13 @@ TEST(Integration, PrunedModelStreamlinesAndMatches) {
   rt.epochs = 1;
   train_model(model, data.train, spec.dataset.flip_symmetry, rt);
 
-  StreamlinedModel sm = streamline(model, 3, 32);
+  const PackedModel frozen = freeze_packed(model);
   std::vector<int> idx;
   for (int i = 0; i < 32; ++i) idx.push_back(i);
   Tensor x = data.test.batch_images(idx);
   auto fl = model.forward(x, false);
-  auto iq = run_streamlined(sm, x);
+  PackedScratch scratch;
+  auto iq = packed_forward(frozen, x, scratch);
   int mismatches = 0;
   for (int n = 0; n < 32; ++n) {
     int fa = 0, ia = 0;

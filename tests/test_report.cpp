@@ -76,6 +76,9 @@ TEST(Scale, FromEnvParses) {
   EXPECT_EQ(ExperimentScale::from_env().name, "medium");
   setenv("ADAPEX_SCALE", "bogus", 1);
   EXPECT_THROW(ExperimentScale::from_env(), ConfigError);
+  // Empty means unset, as for every ADAPEX_* knob.
+  setenv("ADAPEX_SCALE", "", 1);
+  EXPECT_EQ(ExperimentScale::from_env().name, "small");
   unsetenv("ADAPEX_SCALE");
   EXPECT_EQ(ExperimentScale::from_env().name, "small");
 }

@@ -253,20 +253,18 @@ int main(int argc, char** argv) {
             ? severity_from_string(flags["min-severity"])
             : analysis::Severity::kInfo;
 
-    // The folding under test: a user-supplied JSON (linted as R6 against
-    // the walk-order sites before use) or a generated config.
+    // One walk reports every shape violation (R2) at once; a model that
+    // fails it has no sites to fold.
     analysis::LintReport report;
-    FoldingConfig folding;
-    std::vector<LayerSite> sites;
-    try {
-      sites = walk_compute_layers(model, config.in_channels,
-                                  config.image_size);
-    } catch (const Error&) {
-      // The strict walk rejects the model; rerun the lenient design rules
-      // so the user sees every violation, not just the first.
-      report = analysis::lint_design(model, FoldingConfig{}, config);
+    const std::vector<LayerSite> sites =
+        walk_model(model, config.in_channels, config.image_size, &report)
+            .sites;
+    if (report.has_errors()) {
       return emit(report, min_severity, json, "", Json());
     }
+    // The folding under test: a user-supplied JSON (linted as R6 against
+    // the walk-order sites before use) or a generated config.
+    FoldingConfig folding;
     if (flags.count("folding")) {
       const Json j = Json::parse(read_file(flags["folding"]));
       report.merge(analysis::lint_folding_json(j, sites));

@@ -15,20 +15,6 @@ namespace {
 
 constexpr double kReachEps = 1e-12;
 
-/// The branch level whose survival probability gates module `m` (mirrors
-/// module_touches: exit heads are gated by their branch point, backbone
-/// modules by their exit level).
-int gate_level(const HlsModule& m) {
-  return m.exit_head >= 0 ? m.exit_head : m.exit_level;
-}
-
-double reach_at(const std::vector<double>& reach, int level) {
-  if (level < 0) return 0.0;
-  return level < static_cast<int>(reach.size())
-             ? reach[static_cast<std::size_t>(level)]
-             : 0.0;
-}
-
 std::string link_site(const Accelerator& acc, int producer, int consumer) {
   return acc.modules[static_cast<std::size_t>(producer)].name + " -> " +
          acc.modules[static_cast<std::size_t>(consumer)].name;
@@ -198,7 +184,7 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
   rep.reach = reach_from_fractions(exit_fractions);
   rep.module_reach.resize(acc.modules.size());
   for (std::size_t m = 0; m < acc.modules.size(); ++m) {
-    rep.module_reach[m] = reach_at(rep.reach, gate_level(acc.modules[m]));
+    rep.module_reach[m] = module_reach(acc.modules[m], rep.reach);
   }
 
   // Reach-scaled steady-state II and the full-traffic front II (R9 base).
@@ -220,10 +206,11 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
   }
   const double t = rep.steady_ii_cycles;
 
-  // Per-module lag bound: lag(m) = sum of cycles_u * (gate_level_u + 1)
-  // along the source..m path. With injection paced at the gated II and an
-  // evenly spread stimulus, module m finishes image i no later than
-  // i * II + lag(m) (derivation in DESIGN.md "Dataflow verification").
+  // Per-module lag bound: lag(m) = sum of
+  // cycles_u * (module_gate_level(u) + 1) along the source..m path. With
+  // injection paced at the gated II and an evenly spread stimulus, module m
+  // finishes image i no later than i * II + lag(m) (derivation in DESIGN.md
+  // "Dataflow verification").
   std::vector<double> lag(acc.modules.size(), 0.0);
   // pred[] points upstream, so a forward pass in link order (producers
   // always appear before their consumers on some path prefix) needs a
@@ -234,7 +221,7 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
     if (lag_done[mi]) return lag[mi];
     const double own =
         static_cast<double>(acc.modules[mi].cycles) *
-        static_cast<double>(gate_level(acc.modules[mi]) + 1);
+        static_cast<double>(module_gate_level(acc.modules[mi]) + 1);
     lag[mi] = own + (pred[mi] >= 0 ? lag_of(pred[mi]) : 0.0);
     lag_done[mi] = 1;
     return lag[mi];
@@ -367,9 +354,8 @@ DataflowReport analyze_dataflow(const Accelerator& acc,
   }
 
   // R14: the analytical performance model must agree with the
-  // reach-weighted account this pass computes. On compiled accelerators the
-  // two share their formulas; divergence means the gating metadata
-  // (exit_level vs exit_head) is inconsistent.
+  // reach-weighted account this pass computes, and the gating metadata
+  // (exit_level vs exit_head) must be consistent.
   try {
     const AcceleratorPerf perf =
         estimate_performance(acc, exit_fractions, PowerModel{});
@@ -475,6 +461,19 @@ LintReport lint_gated_throughput(const Accelerator& acc,
   LintReport report = check_fractions(acc, exit_fractions);
   if (report.has_errors()) return report;
 
+  // The compiler tags an exit head with exit_level == exit_head. Gating
+  // reads exit_head (module_gate_level), so a different exit_level is
+  // inconsistent metadata.
+  for (const HlsModule& m : acc.modules) {
+    if (m.exit_head >= 0 && m.exit_level != m.exit_head) {
+      report.add("R14", Severity::kError, m.name,
+                 "exit-head module has exit_level " +
+                     std::to_string(m.exit_level) + " but exit_head " +
+                     std::to_string(m.exit_head),
+                 "gating metadata (exit_level/exit_head) disagree");
+    }
+  }
+
   const double ii = gated_steady_ii(acc, exit_fractions);
   if (ii <= 0.0) {
     report.add("R14", Severity::kError, "accelerator",
@@ -550,7 +549,7 @@ CrossValidation cross_validate(const Accelerator& acc,
   double max_cycles = 0.0;
   for (const auto& m : acc.modules) {
     lag_proxy += static_cast<double>(m.cycles) *
-                 static_cast<double>(gate_level(m) + 1);
+                 static_cast<double>(module_gate_level(m) + 1);
     max_cycles = std::max(max_cycles, static_cast<double>(m.cycles));
   }
   const double t_ideal = ideal.steady_ii_cycles;

@@ -37,7 +37,8 @@
 //       the proven-sufficient depth, statically, against the device budget
 //       (before size_fifos ever runs).
 //   R14 gated-throughput accounting: claimed cycles/ips/latency must match
-//       the reach-weighted module model.
+//       the reach-weighted module model, and every exit-head module's
+//       exit_level must equal its exit_head.
 //
 // cross_validate() is the agreement harness: it builds a deterministic
 // evenly-spread stimulus realizing the exit distribution, runs
@@ -139,7 +140,7 @@ LintReport lint_entry_reach(const Accelerator& acc, const LibraryEntry& entry,
 
 /// R14: checks a claimed performance estimate against the reach-weighted
 /// module model (ips vs. fclk / gated II, latency vs. the fraction-weighted
-/// per-path cycle sums).
+/// per-path cycle sums) and the exit heads' gating metadata.
 LintReport lint_gated_throughput(const Accelerator& acc,
                                  const std::vector<double>& exit_fractions,
                                  const AcceleratorPerf& claimed,

@@ -8,7 +8,9 @@
 //   R1  folding divisibility: PE | out_channels and SIMD | matrix width
 //       (k^2 * ch_in for conv, in_features for fc) at every walk-order site.
 //   R2  shape propagation: conv/pool/fc geometry must stay consistent from
-//       the input image through the backbone and every exit head.
+//       the input image through the backbone and every exit head. The
+//       findings come from the model walk itself (walk_model in
+//       model/walk.hpp), which lint_design hands its report.
 //   R3  stream-width agreement: a producer's output parallelism must match
 //       (or integrally convert to) its consumer's input parallelism on every
 //       link, including both consumers of a Branch duplicator.
@@ -19,9 +21,11 @@
 //       (default ZCU104), with a near-capacity warning band.
 //   R6  folding-JSON well-formedness: arity/site-name match, integral
 //       positive PE/SIMD entries, and to_json/from_json round-trip fidelity.
-//   R7  exit-path structure: exits attach to intermediate blocks in
-//       monotonic order, and every compiled exit path is a prefix-consistent
+//   R7  exit-path structure: every exit head is non-empty and ends in a
+//       classifier, and every compiled exit path is a prefix-consistent
 //       extension of the backbone path through its Branch module.
+//       (BranchyModel::add_exit already enforces intermediate, sorted
+//       attachment points.)
 //
 // The reach-aware dataflow verifier (analysis/dataflow.hpp) extends the
 // catalog with R8-R14, run from lint_accelerator() when

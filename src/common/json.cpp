@@ -182,6 +182,11 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted: far above any artifact the repo
+  /// writes, far below what the recursive descent can take on a thread
+  /// stack.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
@@ -231,8 +236,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(parse_string());
     if (c == 't') {
       if (consume_literal("true")) return Json(true);
@@ -359,6 +371,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -4,133 +4,82 @@
 #include <cmath>
 
 #include "analysis/lint.hpp"
-#include "tensor/ops.hpp"
 
 namespace adapex {
 
 namespace {
 
-/// Geometry tracked while emitting modules for one Sequential.
-struct EmitState {
-  int channels = 0;
-  int dim = 0;
-  int features = 0;
-  bool flattened = false;
-  /// Parallelism (channels per cycle) of the producing stream, used to cost
-  /// pool/branch units that run at line rate.
-  int stream_pe = 1;
-};
-
 struct Emitter {
   const FoldingConfig& folding;
   const AcceleratorConfig& config;
-  /// Walk-order sites (model/walk.hpp) — the same indexing the folding
-  /// config uses, so geometry and cycle costs route through the shared
-  /// site helpers (hls/folding.hpp) and cannot drift from the folding
-  /// optimizers' objective.
-  const std::vector<LayerSite>& sites;
+  /// The model walk (model/walk.hpp): walk-order sites — the same indexing
+  /// the folding config uses, so geometry and cycle costs route through the
+  /// shared site helpers (hls/folding.hpp) and cannot drift from the folding
+  /// optimizers' objective — and the activation shape entering every layer.
+  const ModelWalk& walk;
   std::vector<HlsModule> modules;
   std::size_t fold_index = 0;  // walk-order cursor
 
-  /// Emits all modules of one Sequential; appends the emitted module
-  /// indices to `path`. `exit_level` is the number of upstream branch
-  /// points; `exit_head` tags exit-head modules.
-  void emit_sequential(Sequential& seq, const std::string& prefix,
-                       EmitState& state, int exit_level, int exit_head,
-                       std::vector<int>& path) {
-    int act_bits_default = 2;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      Layer& layer = seq.layer(i);
-      switch (layer.kind()) {
-        case LayerKind::kConv: {
-          const std::size_t idx = next_index(layer);
-          const LayerSite& site = sites[idx];
-          const LayerFold fold = folding.folds[idx];
-          const MvtuGeometry g = site_mvtu_geometry(site);
-          ADAPEX_ASSERT(g.in_dim == state.dim);
-          ADAPEX_ASSERT(g.act_bits == act_bits_default);
+  /// Appends `m`, tagged with its gating metadata, to the module list and
+  /// its index to `path`.
+  void push(HlsModule m, int exit_level, int exit_head,
+            std::vector<int>& path) {
+    m.exit_level = exit_level;
+    m.exit_head = exit_head;
+    path.push_back(static_cast<int>(modules.size()));
+    modules.push_back(std::move(m));
+  }
 
+  /// Emits all modules of one Sequential, whose per-layer input shapes the
+  /// walk recorded in `shapes`; appends the emitted module indices to
+  /// `path`. `stream_pe` is the parallelism (channels per cycle) of the
+  /// producing stream, used to cost pool/branch units that run at line
+  /// rate. `exit_level` is the number of upstream branch points;
+  /// `exit_head` tags exit-head modules.
+  void emit_sequential(Sequential& seq, const std::vector<ActShape>& shapes,
+                       const std::string& prefix, int& stream_pe,
+                       int exit_level, int exit_head, std::vector<int>& path) {
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      const std::string name = prefix + "." + std::to_string(i);
+      const LayerKind kind = seq.layer(i).kind();
+      if (kind == LayerKind::kConv || kind == LayerKind::kLinear) {
+        const std::size_t idx = next_index(seq.layer(i));
+        const LayerSite& site = walk.sites[idx];
+        const LayerFold fold = folding.folds[idx];
+        const MvtuGeometry g = site_mvtu_geometry(site);
+        if (site.is_conv) {
           HlsModule swu;
           swu.kind = HlsModuleKind::kSwu;
-          swu.name = prefix + "." + std::to_string(i) + ".swu";
+          swu.name = name + ".swu";
           swu.cycles = swu_cycles(g, fold.simd);
           swu.resources = swu_resources(g, fold.simd, config.cost);
-          swu.exit_level = exit_level;
-          swu.exit_head = exit_head;
-          swu.in_stream_elems = state.stream_pe;
+          swu.in_stream_elems = stream_pe;
           swu.out_stream_elems = fold.simd;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(swu);
-
-          HlsModule mvtu;
-          mvtu.kind = HlsModuleKind::kMvtu;
-          mvtu.name = prefix + "." + std::to_string(i) + ".mvtu";
-          mvtu.cycles = site_fold_cycles(site, fold);
-          mvtu.resources = mvtu_resources(g, fold.pe, fold.simd, config.cost);
-          mvtu.exit_level = exit_level;
-          mvtu.exit_head = exit_head;
-          mvtu.in_stream_elems = fold.simd;
-          mvtu.out_stream_elems = fold.pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(mvtu);
-
-          state.channels = site.out_channels;
-          state.dim = g.out_dim;
-          state.stream_pe = fold.pe;
-          break;
+          push(std::move(swu), exit_level, exit_head, path);
         }
-        case LayerKind::kLinear: {
-          const std::size_t idx = next_index(layer);
-          const LayerSite& site = sites[idx];
-          const LayerFold fold = folding.folds[idx];
-          const MvtuGeometry g = site_mvtu_geometry(site);
-          ADAPEX_ASSERT(g.act_bits == act_bits_default);
-
-          HlsModule mvtu;
-          mvtu.kind = HlsModuleKind::kMvtu;
-          mvtu.name = prefix + "." + std::to_string(i) + ".mvtu";
-          mvtu.cycles = site_fold_cycles(site, fold);
-          mvtu.resources = mvtu_resources(g, fold.pe, fold.simd, config.cost);
-          mvtu.exit_level = exit_level;
-          mvtu.exit_head = exit_head;
-          mvtu.in_stream_elems = fold.simd;
-          mvtu.out_stream_elems = fold.pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(mvtu);
-
-          state.features = site.out_channels;
-          state.stream_pe = fold.pe;
-          break;
-        }
-        case LayerKind::kMaxPool: {
-          auto& pool = static_cast<MaxPool2d&>(layer);
-          HlsModule m;
-          m.kind = HlsModuleKind::kPool;
-          m.name = prefix + "." + std::to_string(i) + ".pool";
-          m.cycles = pool_cycles(state.channels, state.dim, state.stream_pe);
-          m.resources = pool_resources(state.channels, state.stream_pe,
-                                       act_bits_default, config.cost);
-          m.exit_level = exit_level;
-          m.exit_head = exit_head;
-          m.in_stream_elems = state.stream_pe;
-          m.out_stream_elems = state.stream_pe;
-          path.push_back(static_cast<int>(modules.size()));
-          modules.push_back(m);
-          state.dim = ops::out_dim(state.dim, pool.kernel(), pool.stride());
-          break;
-        }
-        case LayerKind::kFlatten:
-          state.features = state.channels * state.dim * state.dim;
-          state.flattened = true;
-          break;
-        case LayerKind::kActQuant: {
-          auto& act = static_cast<ActQuant&>(layer);
-          if (act.bits() > 0) act_bits_default = act.bits();
-          break;  // absorbed into MVTU thresholds
-        }
-        case LayerKind::kBatchNorm:
-          break;  // absorbed into MVTU thresholds
+        HlsModule mvtu;
+        mvtu.kind = HlsModuleKind::kMvtu;
+        mvtu.name = name + ".mvtu";
+        mvtu.cycles = site_fold_cycles(site, fold);
+        mvtu.resources = mvtu_resources(g, fold.pe, fold.simd, config.cost);
+        mvtu.in_stream_elems = fold.simd;
+        mvtu.out_stream_elems = fold.pe;
+        push(std::move(mvtu), exit_level, exit_head, path);
+        stream_pe = fold.pe;
+      } else if (kind == LayerKind::kMaxPool) {
+        const ActShape& in = shapes[i];
+        HlsModule m;
+        m.kind = HlsModuleKind::kPool;
+        m.name = name + ".pool";
+        m.cycles = pool_cycles(in.channels, in.dim, stream_pe);
+        m.resources = pool_resources(in.channels, stream_pe,
+                                     preceding_act_bits(seq, i), config.cost);
+        m.in_stream_elems = stream_pe;
+        m.out_stream_elems = stream_pe;
+        push(std::move(m), exit_level, exit_head, path);
       }
+      // Flatten reshapes the stream; BatchNorm and ActQuant are absorbed
+      // into MVTU thresholds.
     }
   }
 
@@ -139,8 +88,8 @@ struct Emitter {
   std::size_t next_index(const Layer& layer) {
     ADAPEX_CHECK(fold_index < folding.folds.size(),
                  "folding config shorter than model layer list");
-    ADAPEX_ASSERT(fold_index < sites.size() &&
-                  sites[fold_index].layer == &layer);
+    ADAPEX_ASSERT(fold_index < walk.sites.size() &&
+                  walk.sites[fold_index].layer == &layer);
     return fold_index++;
   }
 };
@@ -155,43 +104,41 @@ Accelerator compile_accelerator(BranchyModel& model,
   // the old first-check-wins ADAPEX_CHECK aborts.
   analysis::require_valid_design(model, folding, config);
 
-  const std::vector<LayerSite> sites =
-      walk_compute_layers(model, config.in_channels, config.image_size);
-  Emitter emitter{folding, config, sites, {}, 0};
+  const ModelWalk walk =
+      walk_model(model, config.in_channels, config.image_size);
+  Emitter emitter{folding, config, walk, {}, 0};
   Accelerator acc;
   acc.fclk_mhz = config.fclk_mhz;
   acc.num_exits = static_cast<int>(model.num_exits());
 
-  // Backbone blocks; record per-block state and the module path prefix.
-  EmitState state;
-  state.channels = config.in_channels;
-  state.dim = config.image_size;
+  // Backbone blocks; record the stream parallelism at each block output and
+  // the module path prefix at each exit.
+  int stream_pe = 1;
   std::vector<int> backbone_path;
-  std::vector<EmitState> block_state(model.num_blocks());
+  std::vector<int> block_pe(model.num_blocks());
   // Exit attachment bookkeeping: exits are sorted by block; count upstream
   // branch points to set exit levels.
   std::vector<std::vector<int>> path_prefix_at_exit(model.num_exits());
 
   int exits_seen = 0;
   for (std::size_t b = 0; b < model.num_blocks(); ++b) {
-    emitter.emit_sequential(model.block(b), "backbone.b" + std::to_string(b),
-                            state, exits_seen, -1, backbone_path);
-    block_state[b] = state;
+    emitter.emit_sequential(model.block(b), walk.blocks[b],
+                            "backbone.b" + std::to_string(b), stream_pe,
+                            exits_seen, -1, backbone_path);
+    block_pe[b] = stream_pe;
     // Insert a branch module per exit attached at this block's output.
+    const ActShape& out = walk.blocks[b].back();
     for (std::size_t e = 0; e < model.num_exits(); ++e) {
       if (model.exit(e).after_block != static_cast<int>(b)) continue;
       HlsModule branch;
       branch.kind = HlsModuleKind::kBranch;
       branch.name = "branch.exit" + std::to_string(e);
-      branch.cycles = branch_cycles(state.channels, state.dim, state.stream_pe);
-      branch.resources = branch_resources(state.channels, state.dim,
-                                          state.stream_pe, 2, config.cost);
-      branch.exit_level = exits_seen;
-      branch.exit_head = -1;
-      branch.in_stream_elems = state.stream_pe;
-      branch.out_stream_elems = state.stream_pe;
-      backbone_path.push_back(static_cast<int>(emitter.modules.size()));
-      emitter.modules.push_back(branch);
+      branch.cycles = branch_cycles(out.channels, out.dim, stream_pe);
+      branch.resources = branch_resources(out.channels, out.dim, stream_pe, 2,
+                                          config.cost);
+      branch.in_stream_elems = stream_pe;
+      branch.out_stream_elems = stream_pe;
+      emitter.push(std::move(branch), exits_seen, -1, backbone_path);
       path_prefix_at_exit[e] = backbone_path;  // snapshot incl. the branch
       ++exits_seen;
     }
@@ -201,12 +148,12 @@ Accelerator compile_accelerator(BranchyModel& model,
   // layers first, then exit layers), matching walk_compute_layers.
   std::vector<std::vector<int>> exit_paths(model.num_exits());
   for (std::size_t e = 0; e < model.num_exits(); ++e) {
-    EmitState exit_state =
-        block_state[static_cast<std::size_t>(model.exit(e).after_block)];
+    int head_pe = block_pe[static_cast<std::size_t>(model.exit(e).after_block)];
     std::vector<int> head_path = path_prefix_at_exit[e];
-    emitter.emit_sequential(*model.exit(e).head, "exit" + std::to_string(e),
-                            exit_state, static_cast<int>(e),
-                            static_cast<int>(e), head_path);
+    emitter.emit_sequential(*model.exit(e).head, walk.exits[e],
+                            "exit" + std::to_string(e), head_pe,
+                            static_cast<int>(e), static_cast<int>(e),
+                            head_path);
     exit_paths[e] = std::move(head_path);
   }
 
@@ -269,12 +216,8 @@ double gated_steady_ii(const Accelerator& acc,
   double ii = 0.0;
   int binding = -1;
   for (std::size_t m = 0; m < acc.modules.size(); ++m) {
-    const HlsModule& mod = acc.modules[m];
-    const int level = mod.exit_head >= 0 ? mod.exit_head : mod.exit_level;
-    const double r = level < static_cast<int>(reach.size())
-                         ? reach[static_cast<std::size_t>(level)]
-                         : 0.0;
-    const double gated = static_cast<double>(mod.cycles) * r;
+    const double gated = static_cast<double>(acc.modules[m].cycles) *
+                         module_reach(acc.modules[m], reach);
     if (gated > ii) {
       ii = gated;
       binding = static_cast<int>(m);
@@ -308,21 +251,10 @@ AcceleratorPerf estimate_performance(const Accelerator& acc,
   ADAPEX_CHECK(std::abs(sum - 1.0) < 1e-6, "exit fractions must sum to 1");
 
   const auto reach = reach_from_fractions(exit_fractions);
-  auto module_reach = [&](const HlsModule& m) {
-    const int level = m.exit_level;
-    ADAPEX_ASSERT(level >= 0 &&
-                  level < static_cast<int>(reach.size()) + 1);
-    return level < static_cast<int>(reach.size()) ? reach[static_cast<std::size_t>(level)]
-                                                  : 0.0;
-  };
-
   AcceleratorPerf perf;
   // Effective initiation interval: the bottleneck module's expected
   // occupancy per offered input.
-  double ii_cycles = 0.0;
-  for (const auto& m : acc.modules) {
-    ii_cycles = std::max(ii_cycles, m.cycles * module_reach(m));
-  }
+  const double ii_cycles = gated_steady_ii(acc, exit_fractions);
   ADAPEX_CHECK(ii_cycles > 0.0, "degenerate accelerator (no work)");
   perf.ips = acc.fclk_hz() / ii_cycles;
 
@@ -345,7 +277,7 @@ AcceleratorPerf estimate_performance(const Accelerator& acc,
   double dyn_power = 0.0;
   for (const auto& m : acc.modules) {
     const double peak_w = power.module_peak_w(m.resources);
-    const double busy_cycles = m.cycles * module_reach(m);
+    const double busy_cycles = m.cycles * module_reach(m, reach);
     dyn_energy += peak_w * busy_cycles / acc.fclk_hz();
     dyn_power += peak_w * busy_cycles / ii_cycles;
   }

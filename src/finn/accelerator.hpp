@@ -72,15 +72,31 @@ Accelerator compile_accelerator(BranchyModel& model,
                                 const FoldingConfig& folding,
                                 const AcceleratorConfig& config);
 
+/// The branch level whose survival gates module `m` under the
+/// stream-gating service model: backbone modules need the image to survive
+/// every branch point upstream of them (their exit level), exit heads
+/// process every image that reaches their branch (their exit index).
+inline int module_gate_level(const HlsModule& m) {
+  return m.exit_head >= 0 ? m.exit_head : m.exit_level;
+}
+
 /// Whether module `m` performs work on an image accepted at output
-/// `image_exit` under the stream-gating service model: backbone modules need
-/// the image to survive every branch point upstream of them, exit heads
-/// process every image that reaches their branch. Shared by the pipeline
-/// simulator, the FIFO sizer, and the dataflow verifier so all three gate
-/// traffic identically.
+/// `image_exit`. Shared by the pipeline simulator, the FIFO sizer, and the
+/// dataflow verifier so all three gate traffic identically.
 inline bool module_touches(const HlsModule& m, int image_exit) {
-  if (m.exit_head >= 0) return image_exit >= m.exit_head;
-  return image_exit >= m.exit_level;
+  return image_exit >= module_gate_level(m);
+}
+
+/// The share of offered traffic reaching module `m`, given the survival
+/// vector of reach_from_fractions: reach at the module's gate level, 0
+/// outside the output range. The one traffic rule behind gated_steady_ii,
+/// estimate_performance, and the dataflow verifier.
+inline double module_reach(const HlsModule& m,
+                           const std::vector<double>& reach) {
+  const int level = module_gate_level(m);
+  return level >= 0 && level < static_cast<int>(reach.size())
+             ? reach[static_cast<std::size_t>(level)]
+             : 0.0;
 }
 
 /// Predecessor module index per module (-1 for the source), reconstructed

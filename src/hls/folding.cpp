@@ -76,6 +76,18 @@ long site_fold_cycles(const LayerSite& site, const LayerFold& fold) {
   return mvtu_cycles(g, fold.pe, fold.simd);
 }
 
+int preceding_act_bits(const Sequential& seq, std::size_t index) {
+  int act_bits = 2;
+  for (std::size_t i = 0; i < index; ++i) {
+    const Layer& l = seq.layer(i);
+    if (l.kind() == LayerKind::kActQuant) {
+      const auto& act = static_cast<const ActQuant&>(l);
+      if (act.bits() > 0) act_bits = act.bits();
+    }
+  }
+  return act_bits;
+}
+
 // Packed-vs-float audit (ISSUE 10): every cost this file reports —
 // mvtu_cycles via site_fold_cycles above, resources via the geometry built
 // here — consumes only layer geometry and the *declared* weight/act bit
@@ -110,17 +122,8 @@ MvtuGeometry site_mvtu_geometry(const LayerSite& site) {
     throw ConfigError("site is not a conv/fc layer: " + site.name);
   }
   g.weight_bits = wbits > 0 ? wbits : 32;
-  // Activation bits: the last ActQuant preceding the layer in its container
-  // (the emit-time act_bits_default semantics of finn/accelerator.cpp).
-  int act_bits = 2;
-  for (int i = 0; i < site.layer_index; ++i) {
-    Layer& l = site.container->layer(static_cast<std::size_t>(i));
-    if (l.kind() == LayerKind::kActQuant) {
-      const auto& act = static_cast<const ActQuant&>(l);
-      if (act.bits() > 0) act_bits = act.bits();
-    }
-  }
-  g.act_bits = act_bits;
+  g.act_bits = preceding_act_bits(*site.container,
+                                  static_cast<std::size_t>(site.layer_index));
   return g;
 }
 

@@ -59,10 +59,14 @@ int site_matrix_width(const LayerSite& site);
 /// layer pointers.
 long site_fold_cycles(const LayerSite& site, const LayerFold& fold);
 
+/// Activation bits of the stream entering layer `index` of `seq`: the
+/// nearest preceding ActQuant with a positive width (default 2).
+int preceding_act_bits(const Sequential& seq, std::size_t index);
+
 /// Resolves the full MVTU geometry of a walk site exactly as the
 /// accelerator compiler does: weight bits from the layer (unquantized ->
-/// 32), activation bits from the nearest preceding ActQuant in the same
-/// container (default 2). Requires the site's layer/container pointers.
+/// 32), activation bits from preceding_act_bits. Requires the site's
+/// layer/container pointers.
 MvtuGeometry site_mvtu_geometry(const LayerSite& site);
 
 /// Aggregate MVTU (+SWU for conv) resources of `folding` over the sites —

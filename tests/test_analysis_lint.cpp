@@ -82,6 +82,16 @@ TEST(LintR2, ShapeMismatchReportsEverySite) {
   // Both violations are reported in one pass — no first-check-wins abort.
   EXPECT_TRUE(has_finding(report, "R2", "backbone.b0.conv1", Severity::kError));
   EXPECT_TRUE(has_finding(report, "R2", "backbone.b0.fc0", Severity::kError));
+
+  // The strict walk is the same walk: it throws once, naming both sites.
+  try {
+    walk_compute_layers(model, 3, 32);
+    ADD_FAILURE() << "walk_compute_layers accepted a broken model";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("backbone.b0.conv1"), std::string::npos) << what;
+    EXPECT_NE(what.find("backbone.b0.fc0"), std::string::npos) << what;
+  }
 }
 
 TEST(LintR3, StreamWidthMismatchOnALink) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -38,6 +39,26 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("tru"), ParseError);
   EXPECT_THROW(Json::parse("1 2"), ParseError);
   EXPECT_THROW(Json::parse("\"unterminated"), ParseError);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  // Hostile nesting is rejected before the recursive parser runs out of
+  // stack.
+  const std::size_t deep = 100000;
+  EXPECT_THROW(Json::parse(std::string(deep, '[') + std::string(deep, ']')),
+               ParseError);
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(deep, '}');
+  EXPECT_THROW(Json::parse(objects), ParseError);
+
+  // Nesting well past any artifact the repo writes still parses.
+  const std::size_t ok = 200;
+  const Json j =
+      Json::parse(std::string(ok, '[') + "7" + std::string(ok, ']'));
+  const Json* v = &j;
+  for (std::size_t i = 0; i < ok; ++i) v = &v->as_array().at(0);
+  EXPECT_EQ(v->as_int(), 7);
 }
 
 TEST(Json, DumpParseRoundTrip) {

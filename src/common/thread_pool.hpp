@@ -1,7 +1,8 @@
 // Small work-stealing thread pool.
 //
-// Built for the library generator's design-point fan-out: a few dozen
-// coarse tasks (seconds each), submitted up front, then a single barrier.
+// Built for the library generator's fan-outs: a few coarse tasks (seconds
+// each) submitted up front, then a barrier — once for the two base
+// trainings, then again for the few dozen design points.
 // Each worker owns a deque; submit() deals tasks round-robin, a worker pops
 // from the front of its own deque and steals from the back of a victim's
 // when it runs dry. Queues are mutex-guarded — task granularity here is

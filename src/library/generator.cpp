@@ -459,27 +459,73 @@ Library generate_library(const LibraryGenSpec& spec) {
   lib.static_power_w = spec.power.static_w;
   lib.mitigation = spec.mitigation;
 
-  // Train each needed family once, serially: design points fork from these.
+  // The still-undone design points, in sweep order. Only these are
+  // submitted (dense `todo` positions), so the ordered progress sink never
+  // waits on a replayed point that will not report.
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!done[i]) todo.push_back(i);
+  }
+
+  // Train each needed family once: design points fork from these. Models
+  // are built, verified and announced on the calling thread in family
+  // order; the trainings then run concurrently. They are independent: each
+  // model has its own seed stream, the dataset is const, and train_model
+  // touches nothing else (nn/trainer.hpp). Each family's failure lands in
+  // its own slot and is rethrown in family order, so the reported error
+  // does not depend on scheduling.
   BranchyModel base_plain;
+  BranchyModel base_ee;
+  std::vector<BranchyModel*> to_train;
   if (need_plain) {
     Rng init_rng(spec.seed);
     base_plain = build_cnv(spec.cnv, init_rng);
     verify_base_design(base_plain, spec, "no-exit CNV:");
     progress(spec, "training no-exit CNV (" +
                        std::to_string(spec.initial_train.epochs) + " epochs)");
-    train_model(base_plain, data->train, spec.dataset.flip_symmetry,
-                spec.initial_train);
+    to_train.push_back(&base_plain);
   }
-
-  BranchyModel base_ee;
   if (need_ee) {
     Rng ee_rng(spec.seed + 1);
     base_ee = build_cnv_with_exits(spec.cnv, spec.exits, ee_rng);
     verify_base_design(base_ee, spec, "early-exit CNV:");
     progress(spec, "training early-exit CNV (joint loss, " +
                        std::to_string(spec.initial_train.epochs) + " epochs)");
-    train_model(base_ee, data->train, spec.dataset.flip_symmetry,
-                spec.initial_train);
+    to_train.push_back(&base_ee);
+  }
+
+  // One pool serves both parallel phases: the base trainings, then the
+  // design-point sweep. With one thread there is no pool and everything
+  // runs inline on the calling thread.
+  const std::size_t num_threads = resolve_thread_count(spec);
+  const std::size_t pool_threads =
+      std::min(num_threads, std::max(to_train.size(), todo.size()));
+  std::optional<ThreadPool> pool;
+  if (pool_threads > 1) pool.emplace(pool_threads);
+
+  if (!to_train.empty()) {
+    const auto t_train = std::chrono::steady_clock::now();
+    std::vector<std::exception_ptr> train_errors(to_train.size());
+    for (std::size_t k = 0; k < to_train.size(); ++k) {
+      auto train = [&, k] {
+        try {
+          train_model(*to_train[k], data->train, spec.dataset.flip_symmetry,
+                      spec.initial_train);
+        } catch (...) {
+          train_errors[k] = std::current_exception();
+        }
+      };
+      if (pool) {
+        pool->submit(train);
+      } else {
+        train();
+      }
+    }
+    if (pool) pool->wait();
+    report.base_train_wall_s = seconds_since(t_train);
+    for (const auto& error : train_errors) {
+      if (error) std::rethrow_exception(error);
+    }
   }
 
   // Reference accuracy: unpruned no-exit model (journaled in meta.json so a
@@ -490,7 +536,8 @@ Library generate_library(const LibraryGenSpec& spec) {
                        std::to_string(journal_ref));
   } else {
     auto eval = evaluate_exits(base_plain, data->test, /*batch_size=*/32,
-                               /*num_threads=*/0, eval_mode_from_spec(spec));
+                               static_cast<int>(num_threads),
+                               eval_mode_from_spec(spec));
     lib.reference_accuracy = apply_threshold(eval, 2.0).accuracy;
     progress(spec, "reference accuracy (FINN, unpruned): " +
                        std::to_string(lib.reference_accuracy));
@@ -589,29 +636,19 @@ Library generate_library(const LibraryGenSpec& spec) {
   // Fan the still-undone design points out over the pool. From here on the
   // base models, dataset, and spec are read-only shared state; each task
   // writes only its own pre-assigned slots, so assembling rows in sweep
-  // order below yields the same bytes at any thread count. Only undone
-  // indices are submitted (dense `todo` positions), so the ordered progress
-  // sink never waits on a replayed point that will not report.
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!done[i]) todo.push_back(i);
-  }
-  const std::size_t num_threads = std::min(
-      resolve_thread_count(spec), std::max<std::size_t>(todo.size(), 1));
-
-  if (num_threads <= 1) {
+  // order below yields the same bytes at any thread count.
+  if (!pool || todo.size() <= 1) {
     for (std::size_t i : todo) {
       attempt_point(i);
       progress(spec, outcome_message(i));
     }
   } else {
     progress(spec, "sweeping " + std::to_string(todo.size()) +
-                       " design points on " + std::to_string(num_threads) +
+                       " design points on " + std::to_string(pool->size()) +
                        " threads");
     OrderedProgressSink sink(spec);
-    ThreadPool pool(num_threads);
     for (std::size_t t = 0; t < todo.size(); ++t) {
-      pool.submit([&, t] {
+      pool->submit([&, t] {
         const std::size_t i = todo[t];
         attempt_point(i);  // never throws: failures quarantine in-slot
         sink.publish(t, outcome_message(i));
@@ -619,7 +656,7 @@ Library generate_library(const LibraryGenSpec& spec) {
     }
     // attempt_point contains every expected failure; the pool's capture
     // path is only a backstop (e.g. bad_alloc while recording an error).
-    pool.wait();
+    pool->wait();
   }
 
   // Flight record first — on a kFail throw below the caller's report still

@@ -12,10 +12,11 @@
 // pruning pass. Test-set evaluation runs once per pruned model; confidence
 // thresholds are applied as post-processing (nn/eval.hpp).
 //
-// Parallelism and determinism: after the two base models are trained, every
-// (variant, prune-rate) design point is an independent task — it clones the
-// trained base, prunes, retrains, compiles, and evaluates entirely on
-// task-local state — executed on a work-stealing pool
+// Parallelism and determinism: the two base models train concurrently (each
+// from its own seed stream, on its own model, over the const dataset), then
+// every (variant, prune-rate) design point is an independent task — it
+// clones the trained base, prunes, retrains, compiles, and evaluates
+// entirely on task-local state. Both phases run on one work-stealing pool
 // (common/thread_pool.hpp). Retrain seeds are derived per design point with
 // derive_seed(spec.seed, variant, rate) (common/rng.hpp) rather than from
 // the loop schedule, results land in pre-assigned slots, and Library rows
@@ -94,10 +95,11 @@ struct LibraryGenSpec {
   /// Device whose resource caps bound reach-aware reallocation.
   analysis::DeviceProfile reach_device = analysis::DeviceProfile::zcu104();
   std::uint64_t seed = 7;
-  /// Design-point parallelism: 0 resolves ADAPEX_THREADS (default:
-  /// hardware_concurrency), 1 runs serially on the calling thread. The
-  /// generated Library is byte-identical at every thread count, so this is
-  /// deliberately NOT part of the artifact cache key.
+  /// Worker threads for the base trainings, the reference evaluation and
+  /// the design-point sweep: 0 resolves ADAPEX_THREADS (default:
+  /// hardware_concurrency), 1 runs everything serially on the calling
+  /// thread. The generated Library is byte-identical at every thread count,
+  /// so this is deliberately NOT part of the artifact cache key.
   int num_threads = 0;
   /// Cross-validate every Library row against the dataflow verifier
   /// (analysis/dataflow.hpp): the entry's recorded throughput must match

@@ -97,6 +97,9 @@ std::string GenerationReport::summary() const {
   std::snprintf(buf, sizeof(buf), "; checkpoint overhead %.2f%%",
                 100.0 * checkpoint_overhead());
   s += buf;
+  std::snprintf(buf, sizeof(buf), "; base training %.2f s",
+                base_train_wall_s);
+  s += buf;
   if (partial) s += " (PARTIAL library)";
   return s;
 }
@@ -108,6 +111,7 @@ Json GenerationReport::to_json() const {
   j["compute_wall_s"] = compute_wall_s;
   j["checkpoint_wall_s"] = checkpoint_wall_s;
   j["checkpoint_overhead"] = checkpoint_overhead();
+  j["base_train_wall_s"] = base_train_wall_s;
   Json pts = Json::array();
   for (const auto& p : points) pts.push_back(p.to_json());
   j["points"] = std::move(pts);

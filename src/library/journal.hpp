@@ -94,6 +94,9 @@ struct GenerationReport {
   double total_wall_s = 0.0;       ///< Whole generate_library() call.
   double compute_wall_s = 0.0;     ///< Sum of point wall_s (CPU-ish basis).
   double checkpoint_wall_s = 0.0;  ///< Sum of point checkpoint_s.
+  /// Wall time of the base-training phase (0 when no family trained, as
+  /// on a fully replayed resume).
+  double base_train_wall_s = 0.0;
 
   std::size_t count(PointStatus status) const;
   std::size_t ok() const;  ///< computed + replayed + retried.

@@ -130,25 +130,21 @@ TEST(SeedDerivation, UniqueAcrossSweepAndRoots) {
 }
 
 TEST(LibraryParallel, ByteIdenticalAcrossThreadCounts) {
-  auto serial = fast_spec();
-  serial.num_threads = 1;
-  const Library lib1 = generate_library(serial);
-
-  auto parallel = fast_spec();
-  parallel.num_threads = 4;
-  const Library lib4 = generate_library(parallel);
-
+  // 2 threads gives each base family one worker; 4 also fans the sweep out.
   // Compare the saved artifacts byte for byte, not just the in-memory rows.
-  const std::string p1 = "/tmp/adapex_parallel_t1.json";
-  const std::string p4 = "/tmp/adapex_parallel_t4.json";
-  lib1.save(p1);
-  lib4.save(p4);
-  const std::string bytes1 = read_file(p1);
-  const std::string bytes4 = read_file(p4);
-  std::remove(p1.c_str());
-  std::remove(p4.c_str());
-  ASSERT_FALSE(bytes1.empty());
-  EXPECT_EQ(bytes1, bytes4);
+  std::vector<std::string> bytes;
+  for (int threads : {1, 2, 4}) {
+    auto spec = fast_spec();
+    spec.num_threads = threads;
+    const std::string path =
+        "/tmp/adapex_parallel_t" + std::to_string(threads) + ".json";
+    generate_library(spec).save(path);
+    bytes.push_back(read_file(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(bytes[0], bytes[2]);
 }
 
 TEST(LibraryParallel, ThreadCountFromEnv) {
@@ -161,8 +157,16 @@ TEST(LibraryParallel, ThreadCountFromEnv) {
   ASSERT_EQ(setenv("ADAPEX_THREADS", "3", 1), 0);
   spec.num_threads = 0;  // resolve from the environment
   const std::string via_env = generate_library(spec).to_json().dump(1);
-  ASSERT_EQ(unsetenv("ADAPEX_THREADS"), 0);
   EXPECT_EQ(serial, via_env);
+
+  // An explicit num_threads never reads the environment, not even for the
+  // reference-accuracy evaluation: a malformed ADAPEX_THREADS is ignored.
+  ASSERT_EQ(setenv("ADAPEX_THREADS", "lots", 1), 0);
+  spec.num_threads = 1;
+  std::string explicit_serial;
+  EXPECT_NO_THROW(explicit_serial = generate_library(spec).to_json().dump(1));
+  ASSERT_EQ(unsetenv("ADAPEX_THREADS"), 0);
+  EXPECT_EQ(serial, explicit_serial);
 }
 
 TEST(LibraryParallel, OrderedProgressAtAnyThreadCount) {

@@ -65,8 +65,11 @@ TEST(LibraryResume, KillAndResumeByteIdentical) {
   // from its journal into a Library byte-identical to an uninterrupted run,
   // at a different thread count than the killed run no less.
   auto spec = fast_spec();
+  GenerationReport fresh_report;
+  spec.report = &fresh_report;
   const Library reference = generate_library(spec);
   const std::string ref_bytes = reference.to_json().dump(1);
+  EXPECT_GT(fresh_report.base_train_wall_s, 0.0);
 
   const std::string journal = scratch_dir("resume_kill");
   const std::string key = library_cache_key(spec);
@@ -129,6 +132,7 @@ TEST(LibraryResume, KillAndResumeByteIdentical) {
   EXPECT_EQ(replay_report.count(PointStatus::kReplayed),
             replay_report.points.size());
   EXPECT_EQ(replay_report.count(PointStatus::kComputed), 0u);
+  EXPECT_EQ(replay_report.base_train_wall_s, 0.0);
 
   std::filesystem::remove_all(journal);
 }

@@ -98,11 +98,22 @@ void BM_GemmAtB(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmAtB)->Arg(64)->Arg(256);
 
+// Conv arguments: {batch, in channels, filters, input height = width}, 3x3
+// kernel. Besides a mid-size layer, the tiny-scale CNV's two extremes at its
+// training batch: the 32x32 input conv and the 3x3 -> 1x1 last conv.
+void conv_shape_args(benchmark::internal::Benchmark* b) {
+  b->Args({8, 16, 32, 16})->Args({16, 3, 12, 32})->Args({16, 48, 48, 3});
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int c = static_cast<int>(state.range(1));
+  const int f = static_cast<int>(state.range(2));
+  const int h = static_cast<int>(state.range(3));
   Rng rng(1);
-  Tensor x({8, 16, 16, 16});
+  Tensor x({n, c, h, h});
   x.randn_(rng, 1.0f);
-  Tensor w({32, 16, 3, 3});
+  Tensor w({f, c, 3, 3});
   w.randn_(rng, 0.5f);
   Tensor bias;
   std::vector<float> scratch;
@@ -110,14 +121,20 @@ void BM_Conv2dForward(benchmark::State& state) {
     Tensor y = ops::conv2d_forward(x, w, bias, scratch);
     benchmark::DoNotOptimize(y.data());
   }
+  state.SetItemsProcessed(state.iterations() * 2L * n * f * c * 9 *
+                          (h - 2) * (h - 2));
 }
-BENCHMARK(BM_Conv2dForward);
+BENCHMARK(BM_Conv2dForward)->Apply(conv_shape_args);
 
 void BM_Conv2dBackward(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int c = static_cast<int>(state.range(1));
+  const int f = static_cast<int>(state.range(2));
+  const int h = static_cast<int>(state.range(3));
   Rng rng(7);
-  Tensor x({8, 16, 16, 16});
+  Tensor x({n, c, h, h});
   x.randn_(rng, 1.0f);
-  Tensor w({32, 16, 3, 3});
+  Tensor w({f, c, 3, 3});
   w.randn_(rng, 0.5f);
   Tensor bias;
   std::vector<float> scratch;
@@ -130,9 +147,13 @@ void BM_Conv2dBackward(benchmark::State& state) {
     Tensor dx;
     ops::conv2d_backward(x, w, dy, dx, dw, db, scratch);
     benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dw.data());
   }
+  // dW and dX GEMMs.
+  state.SetItemsProcessed(state.iterations() * 4L * n * f * c * 9 * (h - 2) *
+                          (h - 2));
 }
-BENCHMARK(BM_Conv2dBackward);
+BENCHMARK(BM_Conv2dBackward)->Apply(conv_shape_args);
 
 void BM_LinearForward(benchmark::State& state) {
   Rng rng(8);

@@ -50,9 +50,11 @@ float* transpose_scratch(std::size_t floats) {
 namespace sse2 {
 #define ADAPEX_K_MR 6
 #define ADAPEX_K_NR 8
+#define ADAPEX_K_VW 4
 #include "tensor/kernels_core.inl"
 #undef ADAPEX_K_MR
 #undef ADAPEX_K_NR
+#undef ADAPEX_K_VW
 }  // namespace sse2
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -62,9 +64,11 @@ namespace sse2 {
 namespace avx2 {
 #define ADAPEX_K_MR 6
 #define ADAPEX_K_NR 16
+#define ADAPEX_K_VW 8
 #include "tensor/kernels_core.inl"
 #undef ADAPEX_K_MR
 #undef ADAPEX_K_NR
+#undef ADAPEX_K_VW
 }  // namespace avx2
 #pragma GCC pop_options
 
@@ -73,9 +77,11 @@ namespace avx2 {
 namespace avx512 {
 #define ADAPEX_K_MR 4
 #define ADAPEX_K_NR 64
+#define ADAPEX_K_VW 16
 #include "tensor/kernels_core.inl"
 #undef ADAPEX_K_MR
 #undef ADAPEX_K_NR
+#undef ADAPEX_K_VW
 }  // namespace avx512
 #pragma GCC pop_options
 #endif  // ADAPEX_K_MULTIVERSION
@@ -88,12 +94,15 @@ using GemmDirectFn = void (*)(const float*, const float*, const float*,
                               float*, int, int, int, Epilogue);
 using GemmDotFn = void (*)(const float*, const float*, const float*, float*,
                            int, int, int, Epilogue);
+using GemmDotPackedFn = void (*)(const float*, const float*, int, float*, int,
+                                 int, int);
 
 struct KernelTable {
   const char* name;
   isa::Feature feature;
   GemmDirectFn direct;
   GemmDotFn dot;
+  GemmDotPackedFn dot_packed;
   int nr;  // sliver width: columns below this run in the scalar tail
 };
 
@@ -101,12 +110,12 @@ struct KernelTable {
 constexpr KernelTable kTiers[] = {
 #ifdef ADAPEX_K_MULTIVERSION
     {"avx512", isa::Feature::kAvx512, &avx512::tier_gemm_direct,
-     &avx512::tier_gemm_dot, avx512::kNR},
+     &avx512::tier_gemm_dot, &avx512::tier_gemm_dot_packed, avx512::kNR},
     {"avx2", isa::Feature::kAvx2, &avx2::tier_gemm_direct,
-     &avx2::tier_gemm_dot, avx2::kNR},
+     &avx2::tier_gemm_dot, &avx2::tier_gemm_dot_packed, avx2::kNR},
 #endif
     {"sse2", isa::Feature::kBaseline, &sse2::tier_gemm_direct,
-     &sse2::tier_gemm_dot, sse2::kNR},
+     &sse2::tier_gemm_dot, &sse2::tier_gemm_dot_packed, sse2::kNR},
 };
 
 isa::Dispatcher<KernelTable>& dispatcher() {
@@ -221,6 +230,13 @@ void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
 void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
                     float* c, int m, int k, int n, Epilogue epilogue) {
   dispatcher().active().dot(a, b, col_bias, c, m, k, n, epilogue);
+}
+
+void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
+                                 float* c, int m, int k, int n) {
+  ADAPEX_CHECK(ldbt >= panel_stride(n),
+               "gemm_a_bt_packed_accumulate: row stride below the padded width");
+  dispatcher().active().dot_packed(a, bt, ldbt, c, m, k, n);
 }
 
 // ------------------------------------------------------- naive references

@@ -13,8 +13,9 @@
 //   * gemm_accumulate / gemm_at_b_accumulate: the element's running value
 //     lives in C; products are added in ascending-k order; terms whose A
 //     operand is exactly 0.0f are skipped.
-//   * gemm_a_bt_accumulate: a fresh accumulator starts at 0, sums products
-//     in ascending-k order with no zero skip, and is added to C once.
+//   * gemm_a_bt_accumulate / gemm_a_bt_packed_accumulate: a fresh
+//     accumulator starts at 0, sums products in ascending-k order with no
+//     zero skip, and is added to C once.
 // Blocking/tiling only regroups *independent* output elements (i/j), never
 // the per-element reduction, and the translation unit is built with
 // -ffp-contract=off so no variant fuses multiply+add. Results are therefore
@@ -66,6 +67,25 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
 /// transpose of the B panel.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
+
+/// Alignment, in floats, of a packed B^T panel's rows: the widest tier's
+/// vector width, so every tier's vector tiles fit inside the padding.
+constexpr int kPanelAlign = 16;
+
+/// Row stride of a packed B^T panel with n columns: n rounded up to
+/// kPanelAlign.
+constexpr int panel_stride(int n) {
+  return (n + kPanelAlign - 1) / kPanelAlign * kPanelAlign;
+}
+
+/// gemm_a_bt_accumulate with B^T supplied packed: bt[kk * ldbt + j] = B[j][kk]
+/// (e.g. an im2row patch matrix, one patch per row), ldbt >=
+/// panel_stride(n), and the padding columns n..panel_stride(n)-1 of each row
+/// zero. Vectorized across the n columns straight out of bt, register-tiled
+/// over the m rows; the per-element reduction is gemm_a_bt_accumulate's, so
+/// the result is byte-identical to it on the unpacked B.
+void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
+                                 float* c, int m, int k, int n);
 
 /// gemm_a_bt_accumulate with a fused column-bias/activation epilogue:
 /// out[i][j] = epilogue(col_bias[j] + dot) when col_bias != nullptr

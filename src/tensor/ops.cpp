@@ -30,17 +30,90 @@ int out_dim(int in, int kernel, int stride) {
   return (in - kernel) / stride + 1;
 }
 
-void im2col(const float* img, int channels, int height, int width, int kernel,
-            float* col) {
+namespace {
+
+// The conv passes fold whole images into the GEMM N dimension: a chunk of
+// images lays its patches side by side, column n * patch + p for image n,
+// so layers whose output plane is narrower than the blocked kernels need
+// still fill them. Planes of kWidePlane patches or more (one column panel of
+// the direct kernel) gain nothing from it and run one image per chunk.
+// Otherwise a chunk holds as many images as keep each of its panels (rows x
+// chunk patches) under kPanelCap floats, and at least one, so the
+// per-thread panels stay bounded whatever the batch size.
+constexpr std::size_t kWidePlane = 512;
+constexpr std::size_t kPanelCap = std::size_t{64} * 1024;
+
+int images_per_chunk(int batch, int rows, std::size_t patch) {
+  const std::size_t per_image = static_cast<std::size_t>(rows) * patch;
+  const std::size_t fit =
+      patch >= kWidePlane || per_image == 0 ? 1 : kPanelCap / per_image;
+  return static_cast<int>(std::clamp<std::size_t>(
+      fit, 1, static_cast<std::size_t>(std::max(batch, 1))));
+}
+
+/// Per-thread [rows][chunk patches] GEMM panels, grown on demand and reused
+/// across calls and layers so the training loop never allocates;
+/// thread_local keeps pool workers independent. filter_panel has F rows
+/// (forward output, gathered dOut), patch_panel C*k*k rows (im2col, dcol).
+float* filter_panel(std::size_t floats) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+float* patch_panel(std::size_t floats) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+/// im2row of one image: row p = y * ow + x holds patch (y, x) in the
+/// (c, ky, kx) order of im2col, zero-padded to ldrow floats.
+void im2row(const float* img, int channels, int height, int width, int kernel,
+            float* rows, int ldrow) {
   const int oh = height - kernel + 1;
   const int ow = width - kernel + 1;
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
+  const int kdim = channels * kernel * kernel;
+  for (int y = 0; y < oh; ++y) {
+    for (int x = 0; x < ow; ++x) {
+      float* dst =
+          rows + (static_cast<std::size_t>(y) * ow + x) * ldrow;
+      for (int c = 0; c < channels; ++c) {
+        const float* src = img +
+                           (static_cast<std::size_t>(c) * height + y) * width +
+                           x;
+        for (int ky = 0; ky < kernel; ++ky) {
+          for (int kx = 0; kx < kernel; ++kx) *dst++ = src[kx];
+          src += width;
+        }
+      }
+      std::fill(dst, dst + (ldrow - kdim), 0.0f);
+    }
+  }
+}
+
+/// Checks a conv's input [N,C,H,W] against its weight [F,C,k,k].
+void check_conv_geometry(const Tensor& input, const Tensor& weight) {
+  ADAPEX_CHECK(input.ndim() == 4, "conv2d input must be [N,C,H,W]");
+  ADAPEX_CHECK(weight.ndim() == 4, "conv2d weight must be [F,C,k,k]");
+  ADAPEX_CHECK(weight.dim(1) == input.dim(1),
+               "conv2d channel mismatch: input has " +
+                   std::to_string(input.dim(1)) + " channels");
+  ADAPEX_CHECK(weight.dim(2) == weight.dim(3), "conv2d kernel must be square");
+}
+
+}  // namespace
+
+void im2col(const float* img, int channels, int height, int width, int kernel,
+            float* col, std::size_t ldcol) {
+  const int oh = height - kernel + 1;
+  const int ow = width - kernel + 1;
   std::size_t row = 0;
   for (int c = 0; c < channels; ++c) {
     const float* plane = img + static_cast<std::size_t>(c) * height * width;
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
-        float* dst = col + row * patch;
+        float* dst = col + row * ldcol;
         for (int y = 0; y < oh; ++y) {
           const float* src = plane + static_cast<std::size_t>(y + ky) * width + kx;
           std::memcpy(dst + static_cast<std::size_t>(y) * ow, src,
@@ -52,17 +125,16 @@ void im2col(const float* img, int channels, int height, int width, int kernel,
   }
 }
 
-void col2im_accumulate(const float* col, int channels, int height, int width,
-                       int kernel, float* img) {
+void col2im_accumulate(const float* col, std::size_t ldcol, int channels,
+                       int height, int width, int kernel, float* img) {
   const int oh = height - kernel + 1;
   const int ow = width - kernel + 1;
-  const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   std::size_t row = 0;
   for (int c = 0; c < channels; ++c) {
     float* plane = img + static_cast<std::size_t>(c) * height * width;
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
-        const float* src = col + row * patch;
+        const float* src = col + row * ldcol;
         for (int y = 0; y < oh; ++y) {
           float* dst = plane + static_cast<std::size_t>(y + ky) * width + kx;
           const float* s = src + static_cast<std::size_t>(y) * ow;
@@ -75,34 +147,47 @@ void col2im_accumulate(const float* col, int channels, int height, int width,
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, std::vector<float>& col_scratch,
+                      const Tensor& bias, std::vector<float>& /*col_scratch*/,
                       bool fuse_relu) {
-  ADAPEX_CHECK(input.ndim() == 4, "conv2d input must be [N,C,H,W]");
-  ADAPEX_CHECK(weight.ndim() == 4, "conv2d weight must be [F,C,k,k]");
+  check_conv_geometry(input, weight);
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int fout = weight.dim(0), k = weight.dim(2);
-  ADAPEX_CHECK(weight.dim(1) == cin, "conv2d channel mismatch: input has " +
-                                         std::to_string(cin) + " channels");
-  ADAPEX_CHECK(weight.dim(2) == weight.dim(3), "conv2d kernel must be square");
   const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
   const int kdim = cin * k * k;
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
-  col_scratch.resize(static_cast<std::size_t>(kdim) * patch);
+  const std::size_t image = static_cast<std::size_t>(cin) * h * w;
+  const int chunk = images_per_chunk(batch, std::max(kdim, fout), patch);
+  float* col = patch_panel(static_cast<std::size_t>(kdim) * chunk * patch);
+  float* panel = filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
 
   Tensor out({batch, fout, oh, ow});
   const auto epilogue =
       fuse_relu ? kernels::Epilogue::kRelu : kernels::Epilogue::kNone;
-  for (int n = 0; n < batch; ++n) {
-    im2col(input.data() + static_cast<std::size_t>(n) * cin * h * w, cin, h, w,
-           k, col_scratch.data());
-    float* optr = out.data() + static_cast<std::size_t>(n) * fout * patch;
-    // Bias broadcast and (optionally) ReLU are fused into the kernel's
-    // accumulate/store instead of separate fill/activation passes.
-    kernels::gemm_bias_accumulate(weight.data(), col_scratch.data(),
-                                  bias.empty() ? nullptr : bias.data(), optr,
-                                  fout, kdim, static_cast<int>(patch),
+  for (int n0 = 0; n0 < batch; n0 += chunk) {
+    const int images = std::min(chunk, batch - n0);
+    const std::size_t cols = static_cast<std::size_t>(images) * patch;
+    for (int i = 0; i < images; ++i) {
+      im2col(input.data() + static_cast<std::size_t>(n0 + i) * image, cin,
+             h, w, k, col + i * patch, cols);
+    }
+    // Every element reduces over the same k in the same order as a
+    // one-image GEMM would, seeded by the bias or by zero like the fresh
+    // output; bias and ReLU are fused into the kernel's accumulate/store.
+    // A one-image chunk's panel is its output image itself.
+    float* optr = out.data() + static_cast<std::size_t>(n0) * fout * patch;
+    float* dst = images == 1 ? optr : panel;
+    if (images > 1 && bias.empty()) std::fill(dst, dst + fout * cols, 0.0f);
+    kernels::gemm_bias_accumulate(weight.data(), col,
+                                  bias.empty() ? nullptr : bias.data(), dst,
+                                  fout, kdim, static_cast<int>(cols),
                                   epilogue);
+    for (int i = 0; images > 1 && i < images; ++i) {
+      for (int f = 0; f < fout; ++f) {
+        std::memcpy(optr + (i * fout + f) * patch, panel + f * cols + i * patch,
+                    patch * sizeof(float));
+      }
+    }
   }
   return out;
 }
@@ -111,41 +196,64 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
                      std::vector<float>& col_scratch) {
+  check_conv_geometry(input, weight);
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
   const int fout = weight.dim(0), k = weight.dim(2);
   const int oh = out_dim(h, k, 1), ow = out_dim(w, k, 1);
+  ADAPEX_CHECK(grad_output.shape() == (std::vector<int>{batch, fout, oh, ow}),
+               "conv2d_backward: grad_output must be [N,F,oh,ow]");
+  ADAPEX_CHECK(grad_weight.shape() == weight.shape(),
+               "conv2d_backward: grad_weight must have the weight's shape");
+  ADAPEX_CHECK(grad_bias.empty() || grad_bias.shape() == std::vector<int>{fout},
+               "conv2d_backward: grad_bias must be empty or [F]");
   const int kdim = cin * k * k;
+  const int ldrow = kernels::panel_stride(kdim);
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
-  col_scratch.resize(static_cast<std::size_t>(kdim) * patch);
-  // Reused across calls (thread_local keeps pool workers independent) so the
-  // training hot loop does not allocate a fresh dcol buffer per image batch.
-  thread_local std::vector<float> dcol;
-  dcol.resize(static_cast<std::size_t>(kdim) * patch);
+  const std::size_t image = static_cast<std::size_t>(cin) * h * w;
+  const int chunk = images_per_chunk(batch, std::max(kdim, fout), patch);
+  col_scratch.resize(patch * ldrow);
+  float* dout_panel =
+      filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
+  float* dcol = patch_panel(static_cast<std::size_t>(kdim) * chunk * patch);
 
   grad_input = Tensor(input.shape());
-  for (int n = 0; n < batch; ++n) {
-    const float* img = input.data() + static_cast<std::size_t>(n) * cin * h * w;
-    const float* dout =
-        grad_output.data() + static_cast<std::size_t>(n) * fout * patch;
-    // dW += dOut * col^T
-    im2col(img, cin, h, w, k, col_scratch.data());
-    kernels::gemm_a_bt_accumulate(dout, col_scratch.data(), grad_weight.data(),
-                                  fout, static_cast<int>(patch), kdim);
-    // dcol = W^T * dOut
-    std::fill(dcol.begin(), dcol.end(), 0.0f);
-    kernels::gemm_at_b_accumulate(weight.data(), dout, dcol.data(), kdim, fout,
-                                  static_cast<int>(patch));
-    col2im_accumulate(dcol.data(), cin, h, w, k,
-                      grad_input.data() +
-                          static_cast<std::size_t>(n) * cin * h * w);
-    if (!grad_bias.empty()) {
-      for (int f = 0; f < fout; ++f) {
-        const float* drow = dout + static_cast<std::size_t>(f) * patch;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
-        grad_bias[static_cast<std::size_t>(f)] += acc;
+  for (int n0 = 0; n0 < batch; n0 += chunk) {
+    const int images = std::min(chunk, batch - n0);
+    const std::size_t cols = static_cast<std::size_t>(images) * patch;
+    const float* dout0 =
+        grad_output.data() + static_cast<std::size_t>(n0) * fout * patch;
+    for (int i = 0; i < images; ++i) {
+      const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
+      // dW += dOut * rows: one dot reduction over this image's patches per
+      // element, added to dW once per image.
+      im2row(input.data() + static_cast<std::size_t>(n0 + i) * image, cin, h,
+             w, k, col_scratch.data(), ldrow);
+      kernels::gemm_a_bt_packed_accumulate(dout, col_scratch.data(), ldrow,
+                                           grad_weight.data(), fout,
+                                           static_cast<int>(patch), kdim);
+      for (int f = 0; images > 1 && f < fout; ++f) {
+        std::memcpy(dout_panel + f * cols + i * patch, dout + f * patch,
+                    patch * sizeof(float));
       }
+      if (!grad_bias.empty()) {
+        for (int f = 0; f < fout; ++f) {
+          const float* drow = dout + static_cast<std::size_t>(f) * patch;
+          float acc = 0.0f;
+          for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
+          grad_bias[static_cast<std::size_t>(f)] += acc;
+        }
+      }
+    }
+    // dcol = W^T * dOut over the whole chunk (a one-image chunk's dOut is
+    // already [F][oh*ow]), then scattered per image.
+    std::fill(dcol, dcol + kdim * cols, 0.0f);
+    kernels::gemm_at_b_accumulate(weight.data(),
+                                  images == 1 ? dout0 : dout_panel, dcol, kdim,
+                                  fout, static_cast<int>(cols));
+    for (int i = 0; i < images; ++i) {
+      col2im_accumulate(dcol + i * patch, cols, cin, h, w, k,
+                  grad_input.data() + static_cast<std::size_t>(n0 + i) * image);
     }
   }
 }

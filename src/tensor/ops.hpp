@@ -1,4 +1,4 @@
-// Numeric kernels: GEMM, convolution (im2col-based), pooling, batch
+// Numeric kernels: GEMM, convolution (im2col/im2row-based), pooling, batch
 // normalization, activations, softmax, and their backward passes.
 //
 // Forward/backward pairs implement exactly the math the nn layer graph needs
@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -35,24 +36,31 @@ void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
 int out_dim(int in, int kernel, int stride);
 
 /// im2col for one image: input [C,H,W] -> col [C*kh*kw, oh*ow], stride 1,
-/// no padding.
+/// no padding. col's rows are ldcol >= oh*ow floats apart, so several
+/// images can fill side-by-side columns of one panel.
 void im2col(const float* img, int channels, int height, int width, int kernel,
-            float* col);
+            float* col, std::size_t ldcol);
 
-/// col2im scatter-accumulate (the adjoint of im2col).
-void col2im_accumulate(const float* col, int channels, int height, int width,
-                       int kernel, float* img);
+/// col2im scatter-accumulate (the adjoint of im2col), reading col rows
+/// ldcol floats apart.
+void col2im_accumulate(const float* col, std::size_t ldcol, int channels,
+                       int height, int width, int kernel, float* img);
 
 /// Convolution forward. input [N,C,H,W], weight [F,C,k,k], bias [F] (may be
-/// empty), output [N,F,oh,ow]. `col_scratch` must hold C*k*k*oh*ow floats.
-/// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical
-/// to conv2d_forward followed by relu_forward, without the extra pass.
+/// empty), output [N,F,oh,ow]. Its im2col and output panels are per-thread
+/// buffers shared by every layer (see DESIGN.md "Kernel layer"), so
+/// `col_scratch` is left untouched; it keeps the signature of the
+/// conv2d_backward pair. With fuse_relu the ReLU is applied in the GEMM
+/// epilogue — bit-identical to conv2d_forward followed by relu_forward,
+/// without the extra pass.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, std::vector<float>& col_scratch,
                       bool fuse_relu = false);
 
 /// Convolution backward: fills grad_input (same shape as input), accumulates
-/// into grad_weight/grad_bias. `col_scratch` as in conv2d_forward.
+/// into grad_weight (the weight's shape) and grad_bias ([F], or empty to
+/// skip). grad_output must be [N,F,oh,ow]; throws Error on any mismatch.
+/// `col_scratch` is resized to hold one image's im2row panel.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,

@@ -1,11 +1,14 @@
 // Differential tests for the blocked kernel layer (tensor/kernels.hpp):
 // every blocked kernel must be byte-identical to the retained naive
 // reference at awkward shapes, fused epilogues must equal their unfused
-// compositions bit for bit, all ISA tiers must agree, and the end-to-end
-// train -> eval pipeline must be byte-identical at any thread count.
+// compositions bit for bit, the image-batched conv passes must equal the
+// per-image reference on every tiny CNV conv shape, all ISA tiers must
+// agree, and the end-to-end train -> eval pipeline must be byte-identical at
+// any thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -212,6 +215,192 @@ TEST(Kernels, FusedColBiasEpilogueMatchesComposition) {
   }
 }
 
+// gemm_a_bt_packed_accumulate at the conv weight-gradient shapes: n = kdim
+// (conv fan-in, including sub-vector, odd and just-past-a-vector widths) and
+// k = patches per image, against the reference on the unpacked B.
+TEST(Kernels, GemmABtPackedMatchesReferenceBitwise) {
+  for (int n : {1, 27, 31, 33, 108, 432}) {
+    for (int k : {1, 9, 900}) {
+      for (int m : {1, 7, 12}) {
+        // Rows padded past panel_stride(n) too, to exercise a wider stride.
+        for (int ldbt : {kernels::panel_stride(n), kernels::panel_stride(n) + 16}) {
+          const auto a = random_matrix(static_cast<std::size_t>(m) * k, 401, true);
+          const auto b = random_matrix(static_cast<std::size_t>(n) * k, 402, true);
+          std::vector<float> bt(static_cast<std::size_t>(k) * ldbt, 0.0f);
+          for (int j = 0; j < n; ++j) {
+            for (int kk = 0; kk < k; ++kk) {
+              bt[static_cast<std::size_t>(kk) * ldbt + j] =
+                  b[static_cast<std::size_t>(j) * k + kk];
+            }
+          }
+          auto c_ref = random_matrix(static_cast<std::size_t>(m) * n, 403, false);
+          auto c_pk = c_ref;
+          kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(),
+                                             m, k, n);
+          kernels::gemm_a_bt_packed_accumulate(a.data(), bt.data(), ldbt,
+                                               c_pk.data(), m, k, n);
+          ASSERT_EQ(0, std::memcmp(c_ref.data(), c_pk.data(),
+                                   c_ref.size() * sizeof(float)))
+              << "m=" << m << " k=" << k << " n=" << n << " ldbt=" << ldbt;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, GemmABtPackedRejectsShortStride) {
+  std::vector<float> a(27), bt(32), c(27);
+  EXPECT_THROW(kernels::gemm_a_bt_packed_accumulate(a.data(), bt.data(), 27,
+                                                    c.data(), 1, 1, 27),
+               Error);
+}
+
+// ---------------------------------------------------------------- conv golden
+
+// The per-image convolution the image-batched ops::conv2d_* replaced, kept
+// as the bitwise reference: per image, im2col then the reference GEMMs —
+// forward W * col (bias-seeded, ReLU after), dW += dOut * col^T (dot
+// contract), dcol = W^T * dOut scattered by col2im, db += row sums.
+struct ConvCase {
+  int cin, fout, h, batch;
+};
+
+struct ConvResult {
+  Tensor out, out_bias_relu, grad_input, grad_weight, grad_bias;
+};
+
+struct ConvOperands {
+  Tensor x, wt, bias, dy, dw0, db0;
+};
+
+ConvOperands make_conv_operands(const ConvCase& cc) {
+  const int k = 3, oh = cc.h - k + 1;
+  Rng rng(static_cast<std::uint64_t>(cc.cin * 7919 + cc.fout * 31 + cc.h * 3 +
+                                     cc.batch));
+  auto fill = [&](Tensor& t, double zeros) {
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      t[i] = rng.bernoulli(zeros) ? 0.0f
+                                  : static_cast<float>(rng.uniform() * 2.0 - 1.0);
+    }
+  };
+  ConvOperands o{Tensor({cc.batch, cc.cin, cc.h, cc.h}),
+                 Tensor({cc.fout, cc.cin, k, k}),
+                 Tensor({cc.fout}),
+                 Tensor({cc.batch, cc.fout, oh, oh}),
+                 Tensor({cc.fout, cc.cin, k, k}),
+                 Tensor({cc.fout})};
+  fill(o.x, 0.2);
+  fill(o.wt, 0.45);  // ternary-quantized weights are often exact zeros
+  fill(o.bias, 0.0);
+  fill(o.dy, 0.1);
+  fill(o.dw0, 0.0);  // nonzero: dW and db accumulate
+  fill(o.db0, 0.0);
+  return o;
+}
+
+ConvResult reference_conv(const ConvOperands& o) {
+  const int batch = o.x.dim(0), cin = o.x.dim(1), h = o.x.dim(2);
+  const int fout = o.wt.dim(0), k = o.wt.dim(2), oh = h - k + 1;
+  const int kdim = cin * k * k, patch = oh * oh;
+  const std::size_t image = static_cast<std::size_t>(cin) * h * h;
+  ConvResult r{Tensor({batch, fout, oh, oh}), Tensor({batch, fout, oh, oh}),
+               Tensor(o.x.shape()), o.dw0, o.db0};
+  std::vector<float> col(static_cast<std::size_t>(kdim) * patch);
+  std::vector<float> dcol(col.size());
+  for (int n = 0; n < batch; ++n) {
+    ops::im2col(o.x.data() + n * image, cin, h, h, k, col.data(), patch);
+    float* out = r.out.data() + static_cast<std::size_t>(n) * fout * patch;
+    kernels::ref::gemm_accumulate(o.wt.data(), col.data(), out, fout, kdim,
+                                  patch);
+    float* fused =
+        r.out_bias_relu.data() + static_cast<std::size_t>(n) * fout * patch;
+    for (int f = 0; f < fout; ++f) {
+      std::fill(fused + f * patch, fused + (f + 1) * patch,
+                o.bias[static_cast<std::size_t>(f)]);
+    }
+    kernels::ref::gemm_accumulate(o.wt.data(), col.data(), fused, fout, kdim,
+                                  patch);
+    for (int i = 0; i < fout * patch; ++i) {
+      fused[i] = fused[i] > 0.0f ? fused[i] : 0.0f;
+    }
+
+    const float* dout =
+        o.dy.data() + static_cast<std::size_t>(n) * fout * patch;
+    kernels::ref::gemm_a_bt_accumulate(dout, col.data(), r.grad_weight.data(),
+                                       fout, patch, kdim);
+    std::fill(dcol.begin(), dcol.end(), 0.0f);
+    kernels::ref::gemm_at_b_accumulate(o.wt.data(), dout, dcol.data(), kdim,
+                                       fout, patch);
+    ops::col2im_accumulate(dcol.data(), patch, cin, h, h, k,
+                           r.grad_input.data() + n * image);
+    for (int f = 0; f < fout; ++f) {
+      float acc = 0.0f;
+      for (int p = 0; p < patch; ++p) acc += dout[f * patch + p];
+      r.grad_bias[static_cast<std::size_t>(f)] += acc;
+    }
+  }
+  return r;
+}
+
+ConvResult batched_conv(const ConvOperands& o) {
+  std::vector<float> scratch;
+  const Tensor no_bias;
+  ConvResult r{ops::conv2d_forward(o.x, o.wt, no_bias, scratch),
+               ops::conv2d_forward(o.x, o.wt, o.bias, scratch,
+                                   /*fuse_relu=*/true),
+               Tensor(), o.dw0, o.db0};
+  ops::conv2d_backward(o.x, o.wt, o.dy, r.grad_input, r.grad_weight,
+                       r.grad_bias, scratch);
+  return r;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+void expect_conv_bitwise(const ConvResult& ref, const ConvResult& got,
+                         const ConvCase& cc, const char* isa) {
+  const auto where = ::testing::Message()
+                     << isa << " " << cc.cin << "->" << cc.fout << " @"
+                     << cc.h << " batch " << cc.batch;
+  EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "out " << where;
+  EXPECT_TRUE(bitwise_equal(ref.out_bias_relu, got.out_bias_relu))
+      << "out+bias+relu " << where;
+  EXPECT_TRUE(bitwise_equal(ref.grad_input, got.grad_input)) << "dX " << where;
+  EXPECT_TRUE(bitwise_equal(ref.grad_weight, got.grad_weight))
+      << "dW " << where;
+  EXPECT_TRUE(bitwise_equal(ref.grad_bias, got.grad_bias)) << "db " << where;
+}
+
+// The eight conv shapes of the tiny-scale CNV (width 0.1875): six backbone
+// convs, 32x32 down to 3x3 -> 1x1, and the two exit-head convs. Batch 1 and
+// 16 (the training batch) plus a batch that crosses the 64 Ki-float panel
+// cap with a partial last chunk: 37 for the 14x14 to 5x5 inputs (chunks of
+// 3, 4 and 33 images; the two widest planes run one image per chunk), 157
+// for the 3x3 input (chunks of 151).
+std::vector<ConvCase> tiny_cnv_conv_cases() {
+  const ConvCase shapes[] = {{3, 12, 32, 0},  {12, 12, 30, 0}, {12, 24, 14, 0},
+                             {24, 24, 12, 0}, {24, 48, 5, 0},  {48, 48, 3, 0},
+                             {12, 12, 14, 0}, {24, 24, 5, 0}};
+  std::vector<ConvCase> cases;
+  for (ConvCase cc : shapes) {
+    for (int batch : {1, 16, cc.h == 3 ? 157 : 37}) {
+      cc.batch = batch;
+      cases.push_back(cc);
+    }
+  }
+  return cases;
+}
+
+TEST(Kernels, ConvMatchesPerImageReferenceBitwise) {
+  for (const ConvCase& cc : tiny_cnv_conv_cases()) {
+    const ConvOperands o = make_conv_operands(cc);
+    expect_conv_bitwise(reference_conv(o), batched_conv(o), cc,
+                        kernels::active_isa());
+  }
+}
+
 TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
   const std::string initial = kernels::active_isa();
   const Shape s{9, 257, 129};
@@ -220,8 +409,27 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
   const auto bt = random_matrix(static_cast<std::size_t>(s.n) * s.k, 303, false);
   const auto c0 = random_matrix(static_cast<std::size_t>(s.m) * s.n, 304, false);
 
+  // The same operand packed for the packed dot kernel (s.n columns).
+  const int ldbt = kernels::panel_stride(s.n);
+  std::vector<float> btp(static_cast<std::size_t>(s.k) * ldbt, 0.0f);
+  for (int j = 0; j < s.n; ++j) {
+    for (int kk = 0; kk < s.k; ++kk) {
+      btp[static_cast<std::size_t>(kk) * ldbt + j] =
+          bt[static_cast<std::size_t>(j) * s.k + kk];
+    }
+  }
+  // Every tier's conv passes must also equal the per-image reference.
+  std::vector<ConvCase> conv_cases = tiny_cnv_conv_cases();
+  std::vector<ConvOperands> conv_operands;
+  std::vector<ConvResult> conv_refs;
+  for (const ConvCase& cc : conv_cases) {
+    conv_operands.push_back(make_conv_operands(cc));
+    conv_refs.push_back(reference_conv(conv_operands.back()));
+  }
+
   std::vector<std::vector<float>> direct_results;
   std::vector<std::vector<float>> dot_results;
+  std::vector<std::vector<float>> packed_results;
   for (const char* isa : {"sse2", "avx2", "avx512"}) {
     try {
       kernels::force_isa(isa);
@@ -236,6 +444,14 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
     kernels::gemm_a_bt_accumulate(a.data(), bt.data(), c_dot.data(), s.m, s.k,
                                   s.n);
     dot_results.push_back(std::move(c_dot));
+    auto c_packed = c0;
+    kernels::gemm_a_bt_packed_accumulate(a.data(), btp.data(), ldbt,
+                                         c_packed.data(), s.m, s.k, s.n);
+    packed_results.push_back(std::move(c_packed));
+    for (std::size_t i = 0; i < conv_cases.size(); ++i) {
+      expect_conv_bitwise(conv_refs[i], batched_conv(conv_operands[i]),
+                          conv_cases[i], isa);
+    }
   }
   kernels::force_isa(initial.c_str());
 
@@ -247,7 +463,13 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
     EXPECT_EQ(0,
               std::memcmp(dot_results[0].data(), dot_results[i].data(),
                           dot_results[0].size() * sizeof(float)));
+    EXPECT_EQ(0,
+              std::memcmp(packed_results[0].data(), packed_results[i].data(),
+                          packed_results[0].size() * sizeof(float)));
   }
+  // The packed kernel is the dot kernel on pre-transposed B.
+  EXPECT_EQ(0, std::memcmp(dot_results[0].data(), packed_results[0].data(),
+                           dot_results[0].size() * sizeof(float)));
 }
 
 TEST(Kernels, ForceIsaRejectsUnknownName) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -108,11 +109,11 @@ TEST(Ops, Im2ColRoundTripAdjoint) {
   Tensor x({c, h, w});
   x.randn_(rng, 1.0f);
   std::vector<float> col(static_cast<std::size_t>(c * k * k) * oh * ow);
-  ops::im2col(x.data(), c, h, w, k, col.data());
+  ops::im2col(x.data(), c, h, w, k, col.data(), oh * ow);
   std::vector<float> y(col.size());
   for (auto& v : y) v = static_cast<float>(rng.normal());
   Tensor back({c, h, w});
-  ops::col2im_accumulate(y.data(), c, h, w, k, back.data());
+  ops::col2im_accumulate(y.data(), oh * ow, c, h, w, k, back.data());
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < col.size(); ++i) lhs += static_cast<double>(col[i]) * y[i];
   for (std::size_t i = 0; i < x.numel(); ++i) rhs += static_cast<double>(x[i]) * back[i];
@@ -192,6 +193,77 @@ TEST(Ops, ConvBackwardGradcheck) {
     wt[i] = orig;
     EXPECT_NEAR((lp - lm) / (2 * eps), dw[i], 2e-2) << "dw at " << i;
   }
+}
+
+// conv2d_backward validates its operands before any kernel touches them: a
+// wrong-shaped gradient would otherwise be read or written out of bounds.
+struct ConvBackwardArgs {
+  Tensor x{{2, 3, 6, 6}};
+  Tensor wt{{4, 3, 3, 3}};
+  Tensor dy{{2, 4, 4, 4}};
+  Tensor dx;
+  Tensor dw{{4, 3, 3, 3}};
+  Tensor db{{4}};
+  std::vector<float> scratch;
+  void run() { ops::conv2d_backward(x, wt, dy, dx, dw, db, scratch); }
+};
+
+TEST(Ops, ConvBackwardAcceptsWellFormedOperands) {
+  ConvBackwardArgs args;
+  EXPECT_NO_THROW(args.run());
+  args.db = Tensor();  // grad_bias may be empty
+  EXPECT_NO_THROW(args.run());
+}
+
+TEST(Ops, ConvBackwardRejectsNon4dInput) {
+  ConvBackwardArgs args;
+  args.x = Tensor({3, 6, 6});
+  EXPECT_THROW(args.run(), Error);
+}
+
+TEST(Ops, ConvBackwardRejectsNon4dWeight) {
+  ConvBackwardArgs args;
+  args.wt = Tensor({4, 27});
+  EXPECT_THROW(args.run(), Error);
+}
+
+TEST(Ops, ConvBackwardRejectsChannelMismatch) {
+  ConvBackwardArgs args;
+  args.wt = Tensor({4, 2, 3, 3});
+  args.dw = Tensor({4, 2, 3, 3});
+  EXPECT_THROW(args.run(), Error);
+}
+
+TEST(Ops, ConvBackwardRejectsNonSquareKernel) {
+  ConvBackwardArgs args;
+  args.wt = Tensor({4, 3, 3, 2});
+  args.dw = Tensor({4, 3, 3, 2});
+  EXPECT_THROW(args.run(), Error);
+}
+
+TEST(Ops, ConvBackwardRejectsMisshapenGradOutput) {
+  for (const std::vector<int>& shape :
+       {std::vector<int>{1, 4, 4, 4}, std::vector<int>{2, 5, 4, 4},
+        std::vector<int>{2, 4, 5, 5}, std::vector<int>{2, 4, 16}}) {
+    ConvBackwardArgs args;
+    args.dy = Tensor(shape);
+    EXPECT_THROW(args.run(), Error) << "grad_output of " << shape.size()
+                                    << " dims, numel " << args.dy.numel();
+  }
+}
+
+TEST(Ops, ConvBackwardRejectsMisshapenGradWeight) {
+  ConvBackwardArgs args;
+  args.dw = Tensor({3, 3, 3, 3});
+  EXPECT_THROW(args.run(), Error);
+  args.dw = Tensor({4, 27});  // right element count, wrong shape
+  EXPECT_THROW(args.run(), Error);
+}
+
+TEST(Ops, ConvBackwardRejectsMisshapenGradBias) {
+  ConvBackwardArgs args;
+  args.db = Tensor({5});
+  EXPECT_THROW(args.run(), Error);
 }
 
 TEST(Ops, LinearBackwardGradcheck) {

@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: the conv/GEMM
-// training kernels, the early-exit evaluation path, the accelerator
+// training kernels, the element-wise activation-quantizer and BatchNorm
+// passes, the early-exit evaluation path, the accelerator
 // compile, and the event-driven pipeline simulator. These bound the cost of
 // a library-generation run and catch performance regressions.
 
@@ -154,6 +155,79 @@ void BM_Conv2dBackward(benchmark::State& state) {
                           (h - 2));
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(conv_shape_args);
+
+// Element-wise layer arguments: {batch, channels, height = width} of the
+// tiny-scale CNV's activations at its training batch: the widest plane
+// (first conv, 30x30), a mid plane (10x10) and the 3x3 one.
+void elementwise_shape_args(benchmark::internal::Benchmark* b) {
+  b->Args({16, 12, 30})->Args({16, 24, 10})->Args({16, 48, 3});
+}
+
+Tensor elementwise_input(const benchmark::State& state, std::uint64_t seed) {
+  Rng rng(seed);
+  const int h = static_cast<int>(state.range(2));
+  Tensor x({static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
+            h, h});
+  x.randn_(rng, 1.0f);
+  return x;
+}
+
+// Training forward of a W2A2 activation quantizer: batch max, scale EMA and
+// quantization.
+void BM_ActQuantForward(benchmark::State& state) {
+  const Tensor x = elementwise_input(state, 10);
+  ActQuant act(2);
+  for (auto _ : state) {
+    Tensor y = act.forward(x, /*train=*/true);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_ActQuantForward)->Apply(elementwise_shape_args);
+
+// The quantizer's straight-through backward.
+void BM_ActQuantBackward(benchmark::State& state) {
+  const Tensor x = elementwise_input(state, 11);
+  const Tensor dy = elementwise_input(state, 12);
+  ActQuant act(2);
+  act.forward(x, /*train=*/true);
+  for (auto _ : state) {
+    Tensor dx = act.backward(dy);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_ActQuantBackward)->Apply(elementwise_shape_args);
+
+// Training forward of BatchNorm: per-channel statistics and the affine.
+void BM_BatchNormForward(benchmark::State& state) {
+  const Tensor x = elementwise_input(state, 13);
+  BatchNorm bn(x.dim(1));
+  for (auto _ : state) {
+    Tensor y = bn.forward(x, /*train=*/true);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_BatchNormForward)->Apply(elementwise_shape_args);
+
+// BatchNorm backward: gradient sums and the per-element input gradient.
+void BM_BatchNormBackward(benchmark::State& state) {
+  const Tensor x = elementwise_input(state, 14);
+  const Tensor dy = elementwise_input(state, 15);
+  BatchNorm bn(x.dim(1));
+  bn.forward(x, /*train=*/true);
+  for (auto _ : state) {
+    Tensor dx = bn.backward(dy);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_BatchNormBackward)->Apply(elementwise_shape_args);
 
 void BM_LinearForward(benchmark::State& state) {
   Rng rng(8);

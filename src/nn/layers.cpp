@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace adapex {
@@ -50,6 +51,14 @@ Tensor QuantConv2d::backward(const Tensor& grad_output) {
   ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, grad_input,
                        weight_.grad, no_bias_grad, col_scratch_);
   return grad_input;
+}
+
+void QuantConv2d::backward_params(const Tensor& grad_output) {
+  ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
+  Tensor no_bias_grad;
+  weight_.ensure_grad();
+  ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, nullptr,
+                       weight_.grad, no_bias_grad, col_scratch_);
 }
 
 std::string QuantConv2d::name() const {
@@ -147,11 +156,11 @@ struct BnGeom {
   int spatial;
 };
 
-BnGeom bn_geom(const Tensor& t, int channels) {
-  ADAPEX_CHECK(t.ndim() == 2 || t.ndim() == 4,
+BnGeom bn_geom(const std::vector<int>& shape, int channels) {
+  ADAPEX_CHECK(shape.size() == 2 || shape.size() == 4,
                "batchnorm input must be 2-D or 4-D");
-  BnGeom g{t.dim(0), t.dim(1), 1};
-  if (t.ndim() == 4) g.spatial = t.dim(2) * t.dim(3);
+  BnGeom g{shape[0], shape[1], 1};
+  if (shape.size() == 4) g.spatial = shape[2] * shape[3];
   ADAPEX_CHECK(g.c == channels, "batchnorm channel mismatch");
   return g;
 }
@@ -159,95 +168,76 @@ BnGeom bn_geom(const Tensor& t, int channels) {
 }  // namespace
 
 Tensor BatchNorm::forward(const Tensor& input, bool train) {
-  const auto g = bn_geom(input, channels());
+  const auto g = bn_geom(input.shape(), channels());
   const std::size_t plane = static_cast<std::size_t>(g.spatial);
   const std::size_t count = static_cast<std::size_t>(g.n) * plane;
+  const auto nc = static_cast<std::size_t>(g.c);
   constexpr float kMomentum = 0.1f;
+
+  std::vector<float> mean(nc);
+  std::vector<float> inv_std(nc);
+  std::vector<double> sum;
+  std::vector<double> sq;
+  if (train) {
+    sum.resize(nc);
+    sq.resize(nc);
+    kernels::bn_channel_sums(input.data(), input.data(), g.n, g.c, plane,
+                             sum.data(), sq.data());
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    float var;
+    if (train) {
+      mean[c] = static_cast<float>(sum[c] / count);
+      var = static_cast<float>(sq[c] / count -
+                               static_cast<double>(mean[c]) * mean[c]);
+      var = std::max(var, 0.0f);
+      running_mean_[c] =
+          (1 - kMomentum) * running_mean_[c] + kMomentum * mean[c];
+      running_var_[c] = (1 - kMomentum) * running_var_[c] + kMomentum * var;
+    } else {
+      mean[c] = running_mean_[c];
+      var = running_var_[c];
+    }
+    inv_std[c] = 1.0f / std::sqrt(var + kEps);
+  }
 
   Tensor out(input.shape());
   if (train) {
-    cached_input_ = input;
+    cached_shape_ = input.shape();
     cached_xhat_ = Tensor(input.shape());
-    cached_mean_.assign(static_cast<std::size_t>(g.c), 0.0f);
-    cached_inv_std_.assign(static_cast<std::size_t>(g.c), 0.0f);
+    cached_inv_std_ = inv_std;
   }
-  for (int c = 0; c < g.c; ++c) {
-    float mean;
-    float var;
-    if (train) {
-      double sum = 0.0, sq = 0.0;
-      for (int n = 0; n < g.n; ++n) {
-        const float* src = input.data() +
-                           (static_cast<std::size_t>(n) * g.c + c) * plane;
-        for (std::size_t i = 0; i < plane; ++i) {
-          sum += src[i];
-          sq += static_cast<double>(src[i]) * src[i];
-        }
-      }
-      mean = static_cast<float>(sum / count);
-      var = static_cast<float>(sq / count - static_cast<double>(mean) * mean);
-      var = std::max(var, 0.0f);
-      running_mean_[static_cast<std::size_t>(c)] =
-          (1 - kMomentum) * running_mean_[static_cast<std::size_t>(c)] +
-          kMomentum * mean;
-      running_var_[static_cast<std::size_t>(c)] =
-          (1 - kMomentum) * running_var_[static_cast<std::size_t>(c)] +
-          kMomentum * var;
-      cached_mean_[static_cast<std::size_t>(c)] = mean;
-    } else {
-      mean = running_mean_[static_cast<std::size_t>(c)];
-      var = running_var_[static_cast<std::size_t>(c)];
-    }
-    const float inv_std = 1.0f / std::sqrt(var + kEps);
-    if (train) cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
-    const float gm = gamma_.value[static_cast<std::size_t>(c)];
-    const float bt = beta_.value[static_cast<std::size_t>(c)];
-    for (int n = 0; n < g.n; ++n) {
-      const std::size_t base = (static_cast<std::size_t>(n) * g.c + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        const float xhat = (input[base + i] - mean) * inv_std;
-        if (train) cached_xhat_[base + i] = xhat;
-        out[base + i] = gm * xhat + bt;
-      }
-    }
-  }
+  kernels::bn_forward(input.data(), out.data(),
+                      train ? cached_xhat_.data() : nullptr, g.n, g.c, plane,
+                      mean.data(), inv_std.data(), gamma_.value.data(),
+                      beta_.value.data());
   return out;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
-  ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
-  const auto g = bn_geom(cached_input_, channels());
+  ADAPEX_CHECK(!cached_shape_.empty(), "backward before forward(train=true)");
+  ADAPEX_CHECK(grad_output.shape() == cached_shape_,
+               "batchnorm gradient must have the input's shape");
+  const auto g = bn_geom(cached_shape_, channels());
   const std::size_t plane = static_cast<std::size_t>(g.spatial);
   const double count = static_cast<double>(g.n) * g.spatial;
+  const auto nc = static_cast<std::size_t>(g.c);
 
-  Tensor grad_input(cached_input_.shape());
+  std::vector<double> sum_dy(nc);
+  std::vector<double> sum_dy_xhat(nc);
+  kernels::bn_channel_sums(grad_output.data(), cached_xhat_.data(), g.n, g.c,
+                           plane, sum_dy.data(), sum_dy_xhat.data());
   gamma_.ensure_grad();
   beta_.ensure_grad();
-  for (int c = 0; c < g.c; ++c) {
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int n = 0; n < g.n; ++n) {
-      const std::size_t base = (static_cast<std::size_t>(n) * g.c + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        sum_dy += grad_output[base + i];
-        sum_dy_xhat +=
-            static_cast<double>(grad_output[base + i]) * cached_xhat_[base + i];
-      }
-    }
-    gamma_.grad[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy);
-    const float gm = gamma_.value[static_cast<std::size_t>(c)];
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(c)];
-    for (int n = 0; n < g.n; ++n) {
-      const std::size_t base = (static_cast<std::size_t>(n) * g.c + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        const double dy = grad_output[base + i];
-        const double xhat = cached_xhat_[base + i];
-        grad_input[base + i] = static_cast<float>(
-            gm * inv_std *
-            (dy - sum_dy / count - xhat * sum_dy_xhat / count));
-      }
-    }
+  for (std::size_t c = 0; c < nc; ++c) {
+    gamma_.grad[c] += static_cast<float>(sum_dy_xhat[c]);
+    beta_.grad[c] += static_cast<float>(sum_dy[c]);
   }
+  Tensor grad_input(cached_shape_);
+  kernels::bn_backward(grad_output.data(), cached_xhat_.data(),
+                       grad_input.data(), g.n, g.c, plane, gamma_.value.data(),
+                       cached_inv_std_.data(), sum_dy.data(),
+                       sum_dy_xhat.data(), count);
   return grad_input;
 }
 
@@ -372,6 +362,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
     g = (*it)->backward(g);
   }
   return g;
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_.front()->backward_params(g);
 }
 
 std::vector<Param*> Sequential::params() {

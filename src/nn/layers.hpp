@@ -57,6 +57,13 @@ class Layer {
   /// Must be called after a forward(train=true).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a layer whose input gradient nobody reads (the model's
+  /// first layer, fed the image): accumulates the parameter gradients only.
+  /// The default runs backward() and drops its result.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
   /// Read-only view of the trainable parameters (for inspection of models
@@ -80,6 +87,8 @@ class QuantConv2d : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Skips the input gradient's GEMM and col2im.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_}; }
   std::vector<const Param*> params() const override { return {&weight_}; }
   LayerKind kind() const override { return LayerKind::kConv; }
@@ -171,9 +180,8 @@ class BatchNorm : public Layer {
   Tensor running_mean_;
   Tensor running_var_;
   // Cached values from the training forward pass.
-  Tensor cached_input_;
+  std::vector<int> cached_shape_;
   Tensor cached_xhat_;
-  std::vector<float> cached_mean_;
   std::vector<float> cached_inv_std_;
 };
 
@@ -245,6 +253,8 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// backward() whose first layer runs backward_params().
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override;
   std::vector<const Param*> params() const override;
   LayerKind kind() const override { return LayerKind::kFlatten; }  // unused

@@ -5,6 +5,7 @@
 
 #include "common/env.hpp"
 #include "nn/branchy.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace adapex {
@@ -87,10 +88,7 @@ void quantize_weight_per_channel(const Tensor& weight, int bits, Tensor& out) {
 
 Tensor ActQuantizer::forward(const Tensor& input, bool train) {
   if (train || !initialized_) {
-    float batch_max = 0.0f;
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      batch_max = std::max(batch_max, input[i]);
-    }
+    const float batch_max = kernels::act_batch_max(input.data(), input.numel());
     if (batch_max > 1e-12f) {
       constexpr float kMomentum = 0.1f;
       scale_ = initialized_ ? (1.0f - kMomentum) * scale_ + kMomentum * batch_max
@@ -99,30 +97,19 @@ Tensor ActQuantizer::forward(const Tensor& input, bool train) {
     }
   }
   Tensor out(input.shape());
-  const float s = std::max(scale_, 1e-12f);
-  if (bits_ <= 0) {
-    // Quantization disabled: plain ReLU.
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      out[i] = std::max(input[i], 0.0f);
-    }
-    return out;
-  }
-  const float levels = static_cast<float>((1 << bits_) - 1);
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    const float clamped = std::clamp(input[i], 0.0f, s);
-    out[i] = std::round(clamped / s * levels) / levels * s;
-  }
+  kernels::act_quantize(input.data(), out.data(), input.numel(),
+                        std::max(scale_, 1e-12f), bits_);
   return out;
 }
 
 Tensor ActQuantizer::backward(const Tensor& input,
                               const Tensor& grad_output) const {
+  ADAPEX_CHECK(grad_output.shape() == input.shape(),
+               "activation gradient must have the input's shape");
   Tensor grad(input.shape());
-  const float s = std::max(scale_, 1e-12f);
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    const bool inside = input[i] > 0.0f && (bits_ <= 0 || input[i] < s);
-    grad[i] = inside ? grad_output[i] : 0.0f;
-  }
+  kernels::act_quantize_backward(input.data(), grad_output.data(), grad.data(),
+                                 input.numel(), std::max(scale_, 1e-12f),
+                                 bits_);
   return grad;
 }
 

@@ -1,11 +1,13 @@
 // Fake quantization for quantization-aware training (QAT).
 //
 // Reproduces the Brevitas-style W2A2 scheme the paper trains CNV with:
-//  - Weights: per-output-channel symmetric uniform quantization to
-//    `bits` bits with a narrow range (for 2 bits: levels {-1, 0, +1} times a
-//    per-channel scale equal to the channel's max |w|). The backward pass is
-//    the straight-through estimator (STE): gradients flow to the latent
-//    float weights unchanged.
+//  - Weights: per-output-channel symmetric quantization to `bits` bits with
+//    a narrow range. 2 bits is ternary (TWN): levels {-1, 0, +1} times a
+//    per-channel alpha, where weights with |w| <= 0.7 * mean|w| of the
+//    channel become 0 and alpha is the mean |w| of the survivors. Wider
+//    weights are uniform, with a per-channel scale of max|w| / qmax. The
+//    backward pass is the straight-through estimator (STE): gradients flow
+//    to the latent float weights unchanged.
 //  - Activations: unsigned uniform quantization to `bits` bits after a
 //    ReLU-style clamp, with a per-layer scale tracked as an exponential
 //    moving average of the batch maximum during training and frozen at

@@ -12,8 +12,10 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,6 +44,14 @@ float* transpose_scratch(std::size_t floats) {
 }  // namespace
 
 // ---------------------------------------------------------------- ISA tiers
+
+// The element-wise bodies pass double vectors twice a tier's native width
+// between static functions of one tier; -Wpsabi warns that such vectors
+// cross calls differently on a wider ISA. Every function that takes or
+// returns a vector is defined inside its tier's target region, so caller
+// and callee always agree; a library template (std::bit_cast, say)
+// instantiated on a vector type would not be, and must not be used here.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 // Tile geometry per tier: kNR spans several native vectors per row so each
 // A-element broadcast/zero-test is amortized over more multiply-adds; kMR is
@@ -96,6 +106,18 @@ using GemmDotFn = void (*)(const float*, const float*, const float*, float*,
                            int, int, int, Epilogue);
 using GemmDotPackedFn = void (*)(const float*, const float*, int, float*, int,
                                  int, int);
+using BatchMaxFn = float (*)(const float*, std::size_t);
+using ActQuantizeFn = void (*)(const float*, float*, std::size_t, float, int);
+using ActQuantizeBackwardFn = void (*)(const float*, const float*, float*,
+                                       std::size_t, float, int);
+using ChannelSumsFn = void (*)(const float*, const float*, int, int,
+                               std::size_t, double*, double*);
+using BnForwardFn = void (*)(const float*, float*, float*, int, int,
+                             std::size_t, const float*, const float*,
+                             const float*, const float*);
+using BnBackwardFn = void (*)(const float*, const float*, float*, int, int,
+                              std::size_t, const float*, const float*,
+                              const double*, const double*, double);
 
 struct KernelTable {
   const char* name;
@@ -103,20 +125,34 @@ struct KernelTable {
   GemmDirectFn direct;
   GemmDotFn dot;
   GemmDotPackedFn dot_packed;
+  BatchMaxFn batch_max;
+  ActQuantizeFn act_quantize;
+  ActQuantizeBackwardFn act_quantize_backward;
+  ChannelSumsFn channel_sums;
+  BnForwardFn bn_forward;
+  BnBackwardFn bn_backward;
   int nr;  // sliver width: columns below this run in the scalar tail
 };
+
+// One table row per compiled tier namespace.
+#define ADAPEX_K_TIER(tier, feature)                                        \
+  {                                                                         \
+    #tier, feature, &tier::tier_gemm_direct, &tier::tier_gemm_dot,          \
+        &tier::tier_gemm_dot_packed, &tier::tier_act_batch_max,             \
+        &tier::tier_act_quantize, &tier::tier_act_quantize_backward,        \
+        &tier::tier_bn_channel_sums, &tier::tier_bn_forward,                \
+        &tier::tier_bn_backward, tier::kNR                                  \
+  }
 
 // Widest first; see common/isa.hpp.
 constexpr KernelTable kTiers[] = {
 #ifdef ADAPEX_K_MULTIVERSION
-    {"avx512", isa::Feature::kAvx512, &avx512::tier_gemm_direct,
-     &avx512::tier_gemm_dot, &avx512::tier_gemm_dot_packed, avx512::kNR},
-    {"avx2", isa::Feature::kAvx2, &avx2::tier_gemm_direct,
-     &avx2::tier_gemm_dot, &avx2::tier_gemm_dot_packed, avx2::kNR},
+    ADAPEX_K_TIER(avx512, isa::Feature::kAvx512),
+    ADAPEX_K_TIER(avx2, isa::Feature::kAvx2),
 #endif
-    {"sse2", isa::Feature::kBaseline, &sse2::tier_gemm_direct,
-     &sse2::tier_gemm_dot, &sse2::tier_gemm_dot_packed, sse2::kNR},
+    ADAPEX_K_TIER(sse2, isa::Feature::kBaseline),
 };
+#undef ADAPEX_K_TIER
 
 isa::Dispatcher<KernelTable>& dispatcher() {
   static isa::Dispatcher<KernelTable> d("kernel", kTiers, "ADAPEX_KERNEL_ISA");
@@ -239,6 +275,40 @@ void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
   dispatcher().active().dot_packed(a, bt, ldbt, c, m, k, n);
 }
 
+float act_batch_max(const float* x, std::size_t n) {
+  return dispatcher().active().batch_max(x, n);
+}
+
+void act_quantize(const float* x, float* y, std::size_t n, float s, int bits) {
+  ADAPEX_CHECK(bits <= 30, "act_quantize: at most 30 bits");
+  dispatcher().active().act_quantize(x, y, n, s, bits);
+}
+
+void act_quantize_backward(const float* x, const float* dy, float* dx,
+                           std::size_t n, float s, int bits) {
+  dispatcher().active().act_quantize_backward(x, dy, dx, n, s, bits);
+}
+
+void bn_channel_sums(const float* a, const float* b, int n, int c,
+                     std::size_t plane, double* sum_a, double* sum_ab) {
+  dispatcher().active().channel_sums(a, b, n, c, plane, sum_a, sum_ab);
+}
+
+void bn_forward(const float* x, float* y, float* xhat, int n, int c,
+                std::size_t plane, const float* mean, const float* inv_std,
+                const float* gamma, const float* beta) {
+  dispatcher().active().bn_forward(x, y, xhat, n, c, plane, mean, inv_std,
+                                   gamma, beta);
+}
+
+void bn_backward(const float* dy, const float* xhat, float* dx, int n, int c,
+                 std::size_t plane, const float* gamma, const float* inv_std,
+                 const double* sum_dy, const double* sum_dy_xhat,
+                 double count) {
+  dispatcher().active().bn_backward(dy, xhat, dx, n, c, plane, gamma, inv_std,
+                                    sum_dy, sum_dy_xhat, count);
+}
+
 // ------------------------------------------------------- naive references
 
 namespace ref {
@@ -285,6 +355,84 @@ void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
       float acc = 0.0f;
       for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
       crow[j] += acc;
+    }
+  }
+}
+
+float act_batch_max(const float* x, std::size_t n) {
+  float m = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, x[i]);
+  return m;
+}
+
+void act_quantize(const float* x, float* y, std::size_t n, float s, int bits) {
+  if (bits <= 0) {
+    for (std::size_t i = 0; i < n; ++i) y[i] = std::max(x[i], 0.0f);
+    return;
+  }
+  const float levels = static_cast<float>((1 << bits) - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float clamped = std::clamp(x[i], 0.0f, s);
+    y[i] = std::round(clamped / s * levels) / levels * s;
+  }
+}
+
+void act_quantize_backward(const float* x, const float* dy, float* dx,
+                           std::size_t n, float s, int bits) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool inside = x[i] > 0.0f && (bits <= 0 || x[i] < s);
+    dx[i] = inside ? dy[i] : 0.0f;
+  }
+}
+
+void bn_channel_sums(const float* a, const float* b, int n, int c,
+                     std::size_t plane, double* sum_a, double* sum_ab) {
+  for (int ch = 0; ch < c; ++ch) {
+    double sum = 0.0, sq = 0.0;
+    for (int img = 0; img < n; ++img) {
+      const std::size_t base =
+          (static_cast<std::size_t>(img) * c + ch) * plane;
+      for (std::size_t i = 0; i < plane; ++i) {
+        sum += a[base + i];
+        sq += static_cast<double>(a[base + i]) * b[base + i];
+      }
+    }
+    sum_a[ch] = sum;
+    sum_ab[ch] = sq;
+  }
+}
+
+void bn_forward(const float* x, float* y, float* xhat, int n, int c,
+                std::size_t plane, const float* mean, const float* inv_std,
+                const float* gamma, const float* beta) {
+  for (int ch = 0; ch < c; ++ch) {
+    for (int img = 0; img < n; ++img) {
+      const std::size_t base =
+          (static_cast<std::size_t>(img) * c + ch) * plane;
+      for (std::size_t i = 0; i < plane; ++i) {
+        const float xh = (x[base + i] - mean[ch]) * inv_std[ch];
+        if (xhat != nullptr) xhat[base + i] = xh;
+        y[base + i] = gamma[ch] * xh + beta[ch];
+      }
+    }
+  }
+}
+
+void bn_backward(const float* dy, const float* xhat, float* dx, int n, int c,
+                 std::size_t plane, const float* gamma, const float* inv_std,
+                 const double* sum_dy, const double* sum_dy_xhat,
+                 double count) {
+  for (int ch = 0; ch < c; ++ch) {
+    for (int img = 0; img < n; ++img) {
+      const std::size_t base =
+          (static_cast<std::size_t>(img) * c + ch) * plane;
+      for (std::size_t i = 0; i < plane; ++i) {
+        const double d = dy[base + i];
+        const double xh = xhat[base + i];
+        dx[base + i] = static_cast<float>(
+            gamma[ch] * inv_std[ch] *
+            (d - sum_dy[ch] / count - xh * sum_dy_xhat[ch] / count));
+      }
     }
   }
 }

@@ -16,6 +16,9 @@
 //   * gemm_a_bt_accumulate / gemm_a_bt_packed_accumulate: a fresh
 //     accumulator starts at 0, sums products in ascending-k order with no
 //     zero skip, and is added to C once.
+//   * the element-wise training passes (act_*, bn_*): each output element
+//     gets the reference's float/double operations in the reference's
+//     order; bn_channel_sums keeps each channel's sums in ascending order.
 // Blocking/tiling only regroups *independent* output elements (i/j), never
 // the per-element reduction, and the translation unit is built with
 // -ffp-contract=off so no variant fuses multiply+add. Results are therefore
@@ -93,6 +96,50 @@ void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
 void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
                     float* c, int m, int k, int n, Epilogue epilogue);
 
+// ---------------------------------------------------------------------------
+// Element-wise training passes of the activation quantizer (nn/quant.hpp)
+// and BatchNorm (nn/layers.hpp). Each is byte-identical to its ref:: form at
+// every tier; BatchNorm tensors are [n, c, plane] with one row of `plane`
+// contiguous elements per (image, channel).
+
+/// The std::max fold of x from 0.0f: the largest positive element, or +0
+/// (NaNs, negatives and -0 never win).
+float act_batch_max(const float* x, std::size_t n);
+
+/// Activation fake quantization with L = 2^bits - 1 levels:
+/// y = std::round(std::clamp(x, 0, s) / s * L) / L * s, so -0 and NaN pass
+/// through. bits <= 0 is plain ReLU, y = std::max(x, 0.0f). Throws Error
+/// when bits > 30.
+void act_quantize(const float* x, float* y, std::size_t n, float s, int bits);
+
+/// Straight-through estimator of act_quantize: dx = dy where 0 < x and
+/// (bits <= 0 or x < s), else +0 (so x == 0 and x == s pass nothing).
+void act_quantize_backward(const float* x, const float* dy, float* dx,
+                           std::size_t n, float s, int bits);
+
+/// Per-channel sums of a pair of [n, c, plane] tensors, each one double
+/// chain over images then positions in ascending order:
+/// sum_a[ch] = sum of double(a), sum_ab[ch] = sum of double(a) * double(b).
+/// b may equal a (BatchNorm's forward sum of squares).
+void bn_channel_sums(const float* a, const float* b, int n, int c,
+                     std::size_t plane, double* sum_a, double* sum_ab);
+
+/// BatchNorm affine, in float: xhat = (x - mean[ch]) * inv_std[ch] (stored
+/// when xhat != nullptr) and y = gamma[ch] * xhat + beta[ch].
+void bn_forward(const float* x, float* y, float* xhat, int n, int c,
+                std::size_t plane, const float* mean, const float* inv_std,
+                const float* gamma, const float* beta);
+
+/// BatchNorm input gradient, in double:
+/// dx = float(double(gamma[ch] * inv_std[ch]) *
+///            (dy - sum_dy[ch] / count - xhat * sum_dy_xhat[ch] / count)),
+/// the float product widened and (xhat * sum_dy_xhat) / count divided per
+/// element.
+void bn_backward(const float* dy, const float* xhat, float* dx, int n, int c,
+                 std::size_t plane, const float* gamma, const float* inv_std,
+                 const double* sum_dy, const double* sum_dy_xhat,
+                 double count);
+
 /// Name of the dispatched implementation: "avx512", "avx2", or "sse2".
 const char* active_isa();
 
@@ -103,8 +150,9 @@ const char* active_isa();
 /// applies the same override at first use.
 void force_isa(const char* name);
 
-/// Naive reference kernels — the exact pre-blocking implementations, kept
-/// for differential tests and benchmark baselines.
+/// Naive reference kernels — the exact pre-blocking (GEMM) and pre-vector
+/// (element-wise) implementations, kept for differential tests and benchmark
+/// baselines.
 namespace ref {
 
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
@@ -113,6 +161,20 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
+
+float act_batch_max(const float* x, std::size_t n);
+void act_quantize(const float* x, float* y, std::size_t n, float s, int bits);
+void act_quantize_backward(const float* x, const float* dy, float* dx,
+                           std::size_t n, float s, int bits);
+void bn_channel_sums(const float* a, const float* b, int n, int c,
+                     std::size_t plane, double* sum_a, double* sum_ab);
+void bn_forward(const float* x, float* y, float* xhat, int n, int c,
+                std::size_t plane, const float* mean, const float* inv_std,
+                const float* gamma, const float* beta);
+void bn_backward(const float* dy, const float* xhat, float* dx, int n, int c,
+                 std::size_t plane, const float* gamma, const float* inv_std,
+                 const double* sum_dy, const double* sum_dy_xhat,
+                 double count);
 
 }  // namespace ref
 

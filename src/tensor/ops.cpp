@@ -196,6 +196,14 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
                      std::vector<float>& col_scratch) {
+  conv2d_backward(input, weight, grad_output, &grad_input, grad_weight,
+                  grad_bias, col_scratch);
+}
+
+void conv2d_backward(const Tensor& input, const Tensor& weight,
+                     const Tensor& grad_output, Tensor* grad_input,
+                     Tensor& grad_weight, Tensor& grad_bias,
+                     std::vector<float>& col_scratch) {
   check_conv_geometry(input, weight);
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
@@ -217,7 +225,7 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
       filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
   float* dcol = patch_panel(static_cast<std::size_t>(kdim) * chunk * patch);
 
-  grad_input = Tensor(input.shape());
+  if (grad_input != nullptr) *grad_input = Tensor(input.shape());
   for (int n0 = 0; n0 < batch; n0 += chunk) {
     const int images = std::min(chunk, batch - n0);
     const std::size_t cols = static_cast<std::size_t>(images) * patch;
@@ -232,7 +240,7 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
       kernels::gemm_a_bt_packed_accumulate(dout, col_scratch.data(), ldrow,
                                            grad_weight.data(), fout,
                                            static_cast<int>(patch), kdim);
-      for (int f = 0; images > 1 && f < fout; ++f) {
+      for (int f = 0; grad_input != nullptr && images > 1 && f < fout; ++f) {
         std::memcpy(dout_panel + f * cols + i * patch, dout + f * patch,
                     patch * sizeof(float));
       }
@@ -245,6 +253,7 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
         }
       }
     }
+    if (grad_input == nullptr) continue;
     // dcol = W^T * dOut over the whole chunk (a one-image chunk's dOut is
     // already [F][oh*ow]), then scattered per image.
     std::fill(dcol, dcol + kdim * cols, 0.0f);
@@ -252,8 +261,9 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                                   images == 1 ? dout0 : dout_panel, dcol, kdim,
                                   fout, static_cast<int>(cols));
     for (int i = 0; i < images; ++i) {
-      col2im_accumulate(dcol + i * patch, cols, cin, h, w, k,
-                  grad_input.data() + static_cast<std::size_t>(n0 + i) * image);
+      col2im_accumulate(
+          dcol + i * patch, cols, cin, h, w, k,
+          grad_input->data() + static_cast<std::size_t>(n0 + i) * image);
     }
   }
 }

@@ -66,6 +66,14 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      Tensor& grad_weight, Tensor& grad_bias,
                      std::vector<float>& col_scratch);
 
+/// conv2d_backward with grad_input optional: nullptr skips the input
+/// gradient (its GEMM and col2im) for a layer whose input is the model's
+/// image. grad_weight and grad_bias come out byte-identical either way.
+void conv2d_backward(const Tensor& input, const Tensor& weight,
+                     const Tensor& grad_output, Tensor* grad_input,
+                     Tensor& grad_weight, Tensor& grad_bias,
+                     std::vector<float>& col_scratch);
+
 /// Linear forward: input [N,In], weight [Out,In], bias [Out] -> [N,Out].
 /// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical
 /// to linear_forward followed by relu_forward, without the extra pass.

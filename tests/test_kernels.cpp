@@ -2,9 +2,11 @@
 // every blocked kernel must be byte-identical to the retained naive
 // reference at awkward shapes, fused epilogues must equal their unfused
 // compositions bit for bit, the image-batched conv passes must equal the
-// per-image reference on every tiny CNV conv shape, all ISA tiers must
-// agree, and the end-to-end train -> eval pipeline must be byte-identical at
-// any thread count.
+// per-image reference on every tiny CNV conv shape, the vectorized
+// activation-quantizer and BatchNorm passes must equal their scalar
+// references on adversarial floats, all ISA tiers must agree, and the
+// end-to-end train -> eval pipeline must be byte-identical at any thread
+// count.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "data/dataset.hpp"
 #include "model/cnv.hpp"
 #include "nn/eval.hpp"
+#include "nn/quant.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -401,6 +404,321 @@ TEST(Kernels, ConvMatchesPerImageReferenceBitwise) {
   }
 }
 
+// ----------------------------------------------------- element-wise golden
+
+// The activation-quantizer and BatchNorm passes against their kernels::ref
+// forms (the scalar loops they replaced), at the active tier.
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Signed zeros, NaN, infinities, denormals and the finite extremes.
+std::vector<float> special_floats() {
+  const float dmin = std::numeric_limits<float>::denorm_min();
+  return {0.0f,   -0.0f, std::numeric_limits<float>::quiet_NaN(),
+          kInf,   -kInf, dmin,
+          -dmin,  1e-39f, -1e-39f,
+          std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+          -std::numeric_limits<float>::max()};
+}
+
+// Activation inputs for scale s at `bits`: the specials; the STE edges 0 and
+// s and every half-level point (k + 1/2) * s / L, each with two float steps
+// on either side (so the exact half point v = k + 1/2, when the float grid
+// has one, is among them); random values over [-s/2, 3s/2]. The length is
+// 7 past a multiple of 16, so every tier runs a tail.
+std::vector<float> activation_inputs(float s, int bits, std::uint64_t seed) {
+  std::vector<float> v = special_floats();
+  auto with_neighbours = [&](float x) {
+    v.push_back(x);
+    float lo = x, hi = x;
+    for (int i = 0; i < 2; ++i) {
+      lo = std::nextafter(lo, -kInf);
+      hi = std::nextafter(hi, kInf);
+      v.push_back(lo);
+      v.push_back(hi);
+    }
+  };
+  with_neighbours(0.0f);
+  with_neighbours(s);
+  const int levels = bits > 0 ? (1 << bits) - 1 : 3;
+  for (int k = 0; k < levels; ++k) {
+    with_neighbours((static_cast<float>(k) + 0.5f) * s /
+                    static_cast<float>(levels));
+  }
+  Rng rng(seed);
+  while (v.size() < 200 || v.size() % 16 != 7) {
+    v.push_back(static_cast<float>((rng.uniform() * 2.0 - 0.5) * s));
+  }
+  return v;
+}
+
+// Random gradients with the specials spread through them.
+std::vector<float> gradient_inputs(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> g(n);
+  for (auto& v : g) v = static_cast<float>(rng.normal(0.0, 1.0));
+  const std::vector<float> sp = special_floats();
+  for (std::size_t i = 0; i < n; i += 5) g[i] = sp[(i / 5) % sp.size()];
+  return g;
+}
+
+// Prefix lengths that split the same inputs differently over whole vectors
+// and the tail.
+std::vector<std::size_t> prefix_lengths(std::size_t n) {
+  return {0, 1, 7, 15, 16, 17, 31, 33, 47, n};
+}
+
+void expect_act_quantizer_matches_reference(const char* isa) {
+  const auto where = ::testing::Message() << isa;
+  int exact_halves = 0;
+  for (float s : {1.0f, 2.0f, 0.37f, 6.0f, 1e-12f, 3e38f, kInf}) {
+    for (int bits : {-1, 0, 1, 2, 3, 4, 8}) {
+      const std::vector<float> x = activation_inputs(s, bits, 90 + bits);
+      const std::vector<float> dy = gradient_inputs(x.size(), 91 + bits);
+      if (bits > 0) {
+        const float levels = static_cast<float>((1 << bits) - 1);
+        for (float xi : x) {
+          const float v = std::clamp(xi, 0.0f, s) / s * levels;
+          exact_halves += v - std::trunc(v) == 0.5f;
+        }
+      }
+      for (std::size_t n : prefix_lengths(x.size())) {
+        // Also from an odd offset, so the vectors straddle other elements.
+        for (std::size_t off : {std::size_t{0}, std::size_t{1}}) {
+          if (off + n > x.size()) continue;
+          const float* xp = x.data() + off;
+          std::vector<float> got(n), want(n);
+          kernels::act_quantize(xp, got.data(), n, s, bits);
+          kernels::ref::act_quantize(xp, want.data(), n, s, bits);
+          EXPECT_TRUE(same_bits(got, want))
+              << "act_quantize s=" << s << " bits=" << bits << " n=" << n
+              << " off=" << off << " " << where;
+          kernels::act_quantize_backward(xp, dy.data() + off, got.data(), n, s,
+                                         bits);
+          kernels::ref::act_quantize_backward(xp, dy.data() + off, want.data(),
+                                              n, s, bits);
+          EXPECT_TRUE(same_bits(got, want))
+              << "act_quantize_backward s=" << s << " bits=" << bits
+              << " n=" << n << " off=" << off << " " << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_halves, 0) << "no input hit an exact half level";
+
+  // Batch max: with +inf present, without it, all non-positive (NaN and -0
+  // included: the result is +0), and the maximum in every lane and the tail.
+  std::vector<std::vector<float>> max_cases;
+  max_cases.push_back(activation_inputs(1.0f, 2, 95));
+  max_cases.push_back(max_cases.back());
+  std::erase(max_cases.back(), kInf);
+  max_cases.push_back({-0.0f, -1.0f, std::numeric_limits<float>::quiet_NaN(),
+                       -kInf, -1e-39f});
+  for (std::size_t at = 0; at < 40; ++at) {
+    std::vector<float> v = gradient_inputs(40, 96 + at);
+    std::replace(v.begin(), v.end(), kInf, 1.0f);
+    v[at] = 1e30f;
+    max_cases.push_back(v);
+  }
+  max_cases.push_back({});
+  for (const std::vector<float>& v : max_cases) {
+    EXPECT_TRUE(same_bits(kernels::act_batch_max(v.data(), v.size()),
+                          kernels::ref::act_batch_max(v.data(), v.size())))
+        << "act_batch_max n=" << v.size() << " " << where;
+  }
+
+  // The quantizer in train mode (scale EMA from the batch max, including a
+  // non-positive batch that leaves the scale alone) and in eval mode, against
+  // the same steps composed from the references.
+  for (int bits : {-1, 2, 4}) {
+    ActQuantizer q(bits);
+    float ref_scale = 1.0f;
+    bool ref_init = false;
+    Rng rng(97);
+    for (int step = 0; step < 6; ++step) {
+      const bool train = step != 2 && step != 5;
+      Tensor x({4, 3, 5, 5});
+      for (std::size_t i = 0; i < x.numel(); ++i) {
+        x[i] = static_cast<float>(rng.normal(0.0, 1.0 + step));
+        if (step == 3) x[i] = -std::abs(x[i]);  // batch max 0: no update
+      }
+      x[7] = -0.0f;
+      if (train || !ref_init) {
+        const float m = kernels::ref::act_batch_max(x.data(), x.numel());
+        if (m > 1e-12f) {
+          constexpr float kMomentum = 0.1f;
+          ref_scale = ref_init ? (1.0f - kMomentum) * ref_scale + kMomentum * m
+                               : m;
+          ref_init = true;
+        }
+      }
+      const Tensor y = q.forward(x, train);
+      std::vector<float> want(x.numel());
+      kernels::ref::act_quantize(x.data(), want.data(), x.numel(),
+                                 std::max(ref_scale, 1e-12f), bits);
+      EXPECT_TRUE(same_bits(q.scale(), ref_scale))
+          << "scale bits=" << bits << " step=" << step << " " << where;
+      EXPECT_TRUE(same_bits(std::vector<float>(y.data(), y.data() + y.numel()),
+                            want))
+          << "forward bits=" << bits << " step=" << step << " " << where;
+    }
+  }
+}
+
+// BatchNorm operands: [n, c, plane] with random values; channel 0 carries a
+// NaN, channel 1 an infinity, channel 2 both infinities, and every channel
+// signed zeros and denormals. NaN and infinities stay in separate channels
+// so no sum meets two NaNs with different payloads.
+std::vector<float> bn_input(int n, int c, std::size_t plane,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(n) * c * plane);
+  for (auto& f : v) f = static_cast<float>(rng.normal(0.3, 1.5));
+  auto at = [&](int img, int ch, std::size_t i) -> float& {
+    return v[(static_cast<std::size_t>(img) * c + ch) * plane + i];
+  };
+  const float dmin = std::numeric_limits<float>::denorm_min();
+  for (int ch = 0; ch < c; ++ch) {
+    at(n - 1, ch, plane - 1) = -0.0f;
+    at(0, ch, 0) = ch % 2 ? dmin : -1e-39f;
+  }
+  if (c > 2 && plane > 1) {
+    at(0, 0, 1) = std::numeric_limits<float>::quiet_NaN();
+    at(n - 1, 1, 0) = kInf;
+    at(0, 2, 1) = kInf;
+    at(n - 1, 2, 0) = -kInf;
+  }
+  return v;
+}
+
+std::vector<float> per_channel(int c, double mean, double stddev,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(c));
+  for (auto& f : v) f = static_cast<float>(rng.normal(mean, stddev));
+  return v;
+}
+
+void expect_batchnorm_matches_reference(const char* isa) {
+  struct BnShape {
+    int n, c;
+    std::size_t plane;
+  };
+  // Tiny-CNV planes (30x30 down to 1x1, and the [N, C] linear case), channel
+  // counts that leave every channel-group remainder, odd planes.
+  const BnShape shapes[] = {{1, 1, 1},   {3, 5, 1},   {16, 96, 1}, {2, 13, 9},
+                            {4, 12, 900}, {2, 9, 17}, {16, 24, 25}, {5, 3, 33},
+                            {16, 48, 9}, {3, 7, 100}};
+  for (const BnShape& sh : shapes) {
+    const auto where = ::testing::Message()
+                       << isa << " n=" << sh.n << " c=" << sh.c
+                       << " plane=" << sh.plane;
+    const std::size_t len = static_cast<std::size_t>(sh.n) * sh.c * sh.plane;
+    const std::vector<float> x = bn_input(sh.n, sh.c, sh.plane, 100 + len);
+    const std::vector<float> dy = bn_input(sh.n, sh.c, sh.plane, 200 + len);
+    const auto cs = static_cast<std::size_t>(sh.c);
+
+    // Channel sums, the forward form (b == a) and the backward one.
+    for (const float* b : {x.data(), dy.data()}) {
+      std::vector<double> sa(cs), sab(cs), ra(cs), rab(cs);
+      kernels::bn_channel_sums(x.data(), b, sh.n, sh.c, sh.plane, sa.data(),
+                               sab.data());
+      kernels::ref::bn_channel_sums(x.data(), b, sh.n, sh.c, sh.plane,
+                                    ra.data(), rab.data());
+      EXPECT_EQ(0, std::memcmp(sa.data(), ra.data(), cs * sizeof(double)))
+          << "bn_channel_sums sum " << where;
+      EXPECT_EQ(0, std::memcmp(sab.data(), rab.data(), cs * sizeof(double)))
+          << "bn_channel_sums products " << where;
+    }
+
+    const std::vector<float> mean = per_channel(sh.c, 0.2, 1.0, 1);
+    const std::vector<float> inv_std = per_channel(sh.c, 1.5, 0.5, 2);
+    const std::vector<float> gamma = per_channel(sh.c, 1.0, 0.3, 3);
+    const std::vector<float> beta = per_channel(sh.c, 0.0, 0.3, 4);
+    std::vector<float> y(len), xhat(len), ry(len), rxhat(len);
+    kernels::bn_forward(x.data(), y.data(), xhat.data(), sh.n, sh.c, sh.plane,
+                        mean.data(), inv_std.data(), gamma.data(), beta.data());
+    kernels::ref::bn_forward(x.data(), ry.data(), rxhat.data(), sh.n, sh.c,
+                             sh.plane, mean.data(), inv_std.data(),
+                             gamma.data(), beta.data());
+    EXPECT_TRUE(same_bits(y, ry)) << "bn_forward y " << where;
+    EXPECT_TRUE(same_bits(xhat, rxhat)) << "bn_forward xhat " << where;
+    std::vector<float> y_eval(len);
+    kernels::bn_forward(x.data(), y_eval.data(), nullptr, sh.n, sh.c, sh.plane,
+                        mean.data(), inv_std.data(), gamma.data(), beta.data());
+    EXPECT_TRUE(same_bits(y_eval, ry)) << "bn_forward without xhat " << where;
+
+    std::vector<double> sum_dy(cs), sum_dy_xhat(cs);
+    Rng rng(300 + len);
+    for (std::size_t ch = 0; ch < cs; ++ch) {
+      sum_dy[ch] = rng.normal(0.0, 10.0);
+      sum_dy_xhat[ch] = rng.normal(0.0, 10.0);
+    }
+    const double count = static_cast<double>(sh.n) * sh.plane;
+    std::vector<float> dx(len), rdx(len);
+    kernels::bn_backward(dy.data(), x.data(), dx.data(), sh.n, sh.c, sh.plane,
+                         gamma.data(), inv_std.data(), sum_dy.data(),
+                         sum_dy_xhat.data(), count);
+    kernels::ref::bn_backward(dy.data(), x.data(), rdx.data(), sh.n, sh.c,
+                              sh.plane, gamma.data(), inv_std.data(),
+                              sum_dy.data(), sum_dy_xhat.data(), count);
+    EXPECT_TRUE(same_bits(dx, rdx)) << "bn_backward " << where;
+  }
+
+  // (xhat * sum_dy_xhat) / count is one double division per element: on
+  // these operands xhat * (sum_dy_xhat / count) and a hoisted reciprocal
+  // round to a different float (dy = mean dy = 0, gamma * inv_std = 1).
+  struct DivCase {
+    float xhat;
+    double sdx, count;
+  };
+  for (const DivCase& dc : {DivCase{11.0f, 0x1.1745d28ba2e8cp-2, 3.0},
+                            DivCase{1.0f, 0x1.18d2858c00000p+6, 49.0}}) {
+    const double xh = dc.xhat;
+    const float want = static_cast<float>(-(xh * dc.sdx / dc.count));
+    ASSERT_TRUE(want != static_cast<float>(-(xh * (dc.sdx / dc.count))) ||
+                want != static_cast<float>(-(xh * dc.sdx * (1.0 / dc.count))));
+    const std::size_t plane = 21;  // whole vectors and a tail
+    const std::vector<float> zeros(plane, 0.0f), xhat(plane, dc.xhat);
+    const float one = 1.0f;
+    const double zero_sum = 0.0;
+    std::vector<float> dx(plane);
+    kernels::bn_backward(zeros.data(), xhat.data(), dx.data(), 1, 1, plane,
+                         &one, &one, &zero_sum, &dc.sdx, dc.count);
+    EXPECT_TRUE(same_bits(dx, std::vector<float>(plane, want)))
+        << "bn_backward division order " << isa;
+  }
+}
+
+TEST(Kernels, ActQuantizerStePassesNothingAtTheClampEdges) {
+  const float s = 0.75f;
+  const std::vector<float> x = {0.0f, -0.0f, s, std::nextafter(s, 0.0f),
+                                std::nextafter(0.0f, 1.0f), 2.0f * s};
+  const std::vector<float> dy(x.size(), 1.0f);
+  std::vector<float> dx(x.size());
+  kernels::act_quantize_backward(x.data(), dy.data(), dx.data(), x.size(), s,
+                                 2);
+  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 0.0f, 1.0f, 1.0f, 0.0f}));
+  // ReLU (bits <= 0) has no upper clamp.
+  kernels::act_quantize_backward(x.data(), dy.data(), dx.data(), x.size(), s,
+                                 0);
+  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 1.0f, 1.0f, 1.0f, 1.0f}));
+}
+
+TEST(Kernels, ActQuantizeRejectsMoreThan30Bits) {
+  const float x = 1.0f;
+  float y = 0.0f;
+  EXPECT_THROW(kernels::act_quantize(&x, &y, 1, 1.0f, 31), Error);
+}
+
 TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
   const std::string initial = kernels::active_isa();
   const Shape s{9, 257, 129};
@@ -452,6 +770,9 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
       expect_conv_bitwise(conv_refs[i], batched_conv(conv_operands[i]),
                           conv_cases[i], isa);
     }
+    // The element-wise passes equal their scalar references at every tier.
+    expect_act_quantizer_matches_reference(isa);
+    expect_batchnorm_matches_reference(isa);
   }
   kernels::force_isa(initial.c_str());
 

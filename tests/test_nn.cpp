@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/dataset.hpp"
 #include "model/cnv.hpp"
@@ -13,6 +14,7 @@
 #include "nn/optim.hpp"
 #include "nn/quant.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/ops.hpp"
 
 namespace adapex {
 namespace {
@@ -109,6 +111,53 @@ TEST(Layers, ConvShapes) {
   EXPECT_EQ(y.shape(), (std::vector<int>{2, 8, 8, 8}));
   EXPECT_EQ(conv.in_channels(), 3);
   EXPECT_EQ(conv.out_channels(), 8);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// The model's first conv only needs its weight gradient: skipping the input
+// gradient must leave dW (and db) byte-identical.
+TEST(Layers, FirstLayerBackwardSkipsOnlyTheInputGradient) {
+  Rng rng(21);
+  Tensor x({3, 3, 12, 12});
+  x.randn_(rng, 1.0f);
+  Tensor w({6, 3, 3, 3});
+  w.randn_(rng, 0.5f);
+  Tensor dy({3, 6, 10, 10});
+  dy.randn_(rng, 1.0f);
+  std::vector<float> scratch;
+  Tensor gi;
+  Tensor gw_full(w.shape()), gw_skip(w.shape());
+  Tensor gb_full({6}), gb_skip({6});
+  ops::conv2d_backward(x, w, dy, gi, gw_full, gb_full, scratch);
+  ops::conv2d_backward(x, w, dy, nullptr, gw_skip, gb_skip, scratch);
+  EXPECT_EQ(gi.shape(), x.shape());
+  EXPECT_TRUE(same_bits(gw_full, gw_skip));
+  EXPECT_TRUE(same_bits(gb_full, gb_skip));
+
+  // A conv-BN-act block: backward_params (which returns no input gradient)
+  // accumulates the same parameter gradients as backward.
+  Sequential block;
+  block.append(std::make_unique<QuantConv2d>(3, 6, 3, 2, rng));
+  block.append(std::make_unique<BatchNorm>(6));
+  block.append(std::make_unique<ActQuant>(2));
+  auto copy = block.clone();
+  Tensor gy({3, 6, 10, 10});
+  gy.randn_(rng, 1.0f);
+  block.forward(x, true);
+  copy->forward(x, true);
+  const Tensor full_gi = block.backward(gy);
+  EXPECT_EQ(full_gi.shape(), x.shape());
+  copy->backward_params(gy);
+  const std::vector<Param*> full = block.params();
+  const std::vector<Param*> skip = copy->params();
+  ASSERT_EQ(full.size(), skip.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_TRUE(same_bits(full[i]->grad, skip[i]->grad)) << "param " << i;
+  }
 }
 
 TEST(Layers, BatchNormNormalizesTrainingBatch) {

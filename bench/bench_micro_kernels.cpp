@@ -21,7 +21,7 @@ void BM_GemmAccumulate(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -44,7 +44,8 @@ void BM_GemmRef(benchmark::State& state) {
 BENCHMARK(BM_GemmRef)->Arg(64)->Arg(128)->Arg(256);
 
 // 85%-zero A (a pruned+quantized weight matrix): adaptive dispatch routes
-// this to the scalar zero-skip path, which beats packing at this density.
+// this to the reference zero-skip kernel, which beats packing at this
+// density.
 void BM_GemmSparse(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(12);
@@ -53,7 +54,7 @@ void BM_GemmSparse(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -66,7 +67,7 @@ void BM_GemmABt(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -92,7 +93,7 @@ void BM_GemmAtB(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n) * n, 0.0f);
   for (auto _ : state) {
-    ops::gemm_at_b_accumulate(a.data(), b.data(), c.data(), n, n, n);
+    kernels::gemm_at_b_accumulate(a.data(), b.data(), c.data(), n, n, n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
@@ -229,21 +230,32 @@ void BM_BatchNormBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchNormBackward)->Apply(elementwise_shape_args);
 
+// Linear arguments: {batch, in features, out features}. A wide layer, and
+// the tiny-scale CNV's 96 -> 96 FC and 96 -> 10 classifier at its training
+// batch (16) and eval batch (32).
 void BM_LinearForward(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int in = static_cast<int>(state.range(1));
+  const int out = static_cast<int>(state.range(2));
   Rng rng(8);
-  Tensor x({32, 512});
+  Tensor x({n, in});
   x.randn_(rng, 1.0f);
-  Tensor w({256, 512});
+  Tensor w({out, in});
   w.randn_(rng, 0.5f);
-  Tensor bias({256});
+  Tensor bias({out});
   bias.randn_(rng, 0.5f);
   for (auto _ : state) {
     Tensor y = ops::linear_forward(x, w, bias);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2L * 32 * 512 * 256);
+  state.SetItemsProcessed(state.iterations() * 2L * n * in * out);
 }
-BENCHMARK(BM_LinearForward);
+BENCHMARK(BM_LinearForward)
+    ->Args({32, 512, 256})
+    ->Args({16, 96, 96})
+    ->Args({32, 96, 96})
+    ->Args({16, 96, 10})
+    ->Args({32, 96, 10});
 
 void BM_MaxPool(benchmark::State& state) {
   Rng rng(9);

@@ -315,13 +315,13 @@ std::unique_ptr<Layer> ActQuant::clone() const {
 // ------------------------------------------------------------------ MaxPool2d
 
 Tensor MaxPool2d::forward(const Tensor& input, bool train) {
-  if (train) cached_input_ = input;
+  if (train) cached_shape_ = input.shape();
   return ops::maxpool_forward(input, kernel_, stride_, argmax_);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
-  return ops::maxpool_backward(cached_input_, grad_output, kernel_, stride_,
+  ADAPEX_CHECK(!cached_shape_.empty(), "backward before forward(train=true)");
+  return ops::maxpool_backward(cached_shape_, grad_output, kernel_, stride_,
                                argmax_);
 }
 

@@ -223,7 +223,7 @@ class MaxPool2d : public Layer {
  private:
   int kernel_;
   int stride_;
-  Tensor cached_input_;
+  std::vector<int> cached_shape_;
   std::vector<int> argmax_;
 };
 

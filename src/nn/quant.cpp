@@ -390,41 +390,33 @@ void run_float_front(const PackedStage& st, const Tensor& input,
                      std::vector<float>& col, std::vector<std::uint8_t>& buf,
                      CodeView& view) {
   static const Tensor kNoBias;
-  const Tensor x = ops::conv2d_forward(input, st.qweight, kNoBias, col);
+  Tensor x = ops::conv2d_forward(input, st.qweight, kNoBias, col);
   const int n = x.dim(0);
   const int f = x.dim(1);
   const std::size_t plane =
       static_cast<std::size_t>(x.dim(2)) * static_cast<std::size_t>(x.dim(3));
+  std::vector<float> inv_std(static_cast<std::size_t>(f));
+  for (std::size_t c = 0; c < inv_std.size(); ++c) {
+    inv_std[c] = 1.0f / std::sqrt(st.bn_var[c] + BatchNorm::kEps);
+  }
+  kernels::bn_forward(x.data(), x.data(), nullptr, n, f, plane,
+                      st.bn_mean.data(), inv_std.data(), st.bn_gamma.data(),
+                      st.bn_beta.data());
   buf.resize(x.numel());
   const float s = std::max(st.act_scale, 1e-12f);
   const float levels = static_cast<float>(st.act_levels);
-  for (int c = 0; c < f; ++c) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    const float mean = st.bn_mean[i];
-    const float inv_std =
-        1.0f / std::sqrt(st.bn_var[i] + BatchNorm::kEps);
-    const float gm = st.bn_gamma[i];
-    const float bt = st.bn_beta[i];
-    for (int b = 0; b < n; ++b) {
-      const std::size_t base =
-          (static_cast<std::size_t>(b) * f + static_cast<std::size_t>(c)) *
-          plane;
-      for (std::size_t p = 0; p < plane; ++p) {
-        const float xhat = (x[base + p] - mean) * inv_std;
-        const float v = gm * xhat + bt;
-        const float clamped = std::clamp(v, 0.0f, s);
-        const float q = clamped / s * levels;
-        // Threshold counting IS lround(q) for q in [0, levels] (each j+0.5
-        // is exactly representable) — same codes as ActQuantizer's round,
-        // without a libm call per pixel, and the loop vectorizes.
-        std::uint8_t code = 0;
-        for (int l = 0; l < st.act_levels; ++l) {
-          code = static_cast<std::uint8_t>(
-              code + (q >= static_cast<float>(l) + 0.5f ? 1 : 0));
-        }
-        buf[base + p] = code;
-      }
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const float clamped = std::clamp(x[i], 0.0f, s);
+    const float q = clamped / s * levels;
+    // Threshold counting IS lround(q) for q in [0, levels] (each j+0.5 is
+    // exactly representable) — same codes as ActQuantizer's round, without
+    // a libm call per pixel, and the loop vectorizes.
+    std::uint8_t code = 0;
+    for (int l = 0; l < st.act_levels; ++l) {
+      code = static_cast<std::uint8_t>(
+          code + (q >= static_cast<float>(l) + 0.5f ? 1 : 0));
     }
+    buf[i] = code;
   }
   view = {buf.data(), n, f, x.dim(2), x.dim(3)};
 }

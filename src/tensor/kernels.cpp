@@ -34,7 +34,8 @@ float* pack_scratch(std::size_t floats) {
   return buf.data();
 }
 
-/// Per-thread scratch for the A^T repack of gemm_at_b_accumulate.
+/// Per-thread scratch for the transposes of gemm_at_b_accumulate (A^T) and
+/// gemm_a_bt_accumulate (B^T).
 float* transpose_scratch(std::size_t floats) {
   thread_local std::vector<float> buf;
   if (buf.size() < floats) buf.resize(floats);
@@ -100,10 +101,8 @@ namespace avx512 {
 
 namespace {
 
-using GemmDirectFn = void (*)(const float*, const float*, const float*,
-                              float*, int, int, int, Epilogue);
-using GemmDotFn = void (*)(const float*, const float*, const float*, float*,
-                           int, int, int, Epilogue);
+using GemmDirectFn = void (*)(const float*, const float*, float*, int, int,
+                              int);
 using GemmDotPackedFn = void (*)(const float*, const float*, int, float*, int,
                                  int, int);
 using BatchMaxFn = float (*)(const float*, std::size_t);
@@ -123,7 +122,6 @@ struct KernelTable {
   const char* name;
   isa::Feature feature;
   GemmDirectFn direct;
-  GemmDotFn dot;
   GemmDotPackedFn dot_packed;
   BatchMaxFn batch_max;
   ActQuantizeFn act_quantize;
@@ -131,17 +129,15 @@ struct KernelTable {
   ChannelSumsFn channel_sums;
   BnForwardFn bn_forward;
   BnBackwardFn bn_backward;
-  int nr;  // sliver width: columns below this run in the scalar tail
 };
 
 // One table row per compiled tier namespace.
 #define ADAPEX_K_TIER(tier, feature)                                        \
   {                                                                         \
-    #tier, feature, &tier::tier_gemm_direct, &tier::tier_gemm_dot,          \
-        &tier::tier_gemm_dot_packed, &tier::tier_act_batch_max,             \
-        &tier::tier_act_quantize, &tier::tier_act_quantize_backward,        \
-        &tier::tier_bn_channel_sums, &tier::tier_bn_forward,                \
-        &tier::tier_bn_backward, tier::kNR                                  \
+    #tier, feature, &tier::tier_gemm_direct, &tier::tier_gemm_dot_packed,   \
+        &tier::tier_act_batch_max, &tier::tier_act_quantize,                \
+        &tier::tier_act_quantize_backward, &tier::tier_bn_channel_sums,     \
+        &tier::tier_bn_forward, &tier::tier_bn_backward                     \
   }
 
 // Widest first; see common/isa.hpp.
@@ -161,49 +157,23 @@ isa::Dispatcher<KernelTable>& dispatcher() {
 
 // ---------------------------------------------------------- adaptive dispatch
 
-// The blocked direct kernels only win when the full-width slivers engage and
-// the zero-skip is not carrying the load: packing a B panel costs a full
-// K x N sweep no matter how many A elements are exactly zero, and columns
-// beyond the last full sliver run scalar. Quantized (W2A2) and pruned
-// weights make both cases common — a naive i-k-j loop that skips a whole
-// N-wide B-row sweep per zero beats the blocked kernel outright on an 85%
-// pruned layer — so the public entry points fall back to a scalar kernel
-// with the identical per-element reduction order (see the kernels.hpp
-// contract; results are byte-identical either way). The density crossover
-// was measured on the tiny-scale CNV conv shapes; the A scan it needs is
-// M x K loads against a 2 x M x K x N flop kernel, i.e. noise.
+// The blocked direct kernel only wins when the zero-skip is not carrying
+// the load: packing a B panel costs a full K x N sweep no matter how many A
+// elements are exactly zero. Quantized (W2A2) and pruned weights make that
+// case common — a naive i-k-j loop that skips a whole N-wide B-row sweep per
+// zero beats the blocked kernel outright on an 85% pruned layer — so the
+// public entry points fall back to the reference kernel, which has the
+// identical per-element reduction order (see the kernels.hpp contract;
+// results are byte-identical either way). The density crossover was
+// measured on the tiny-scale CNV conv shapes; the A scan it needs is M x K
+// loads against a 2 x M x K x N flop kernel, i.e. noise.
 constexpr float kMinBlockedDensity = 0.3f;
 
-bool blocked_profitable(const float* a, std::size_t len, int n, int nr) {
-  if (n < nr) return false;
+bool blocked_profitable(const float* a, std::size_t len) {
   std::size_t nnz = 0;
   for (std::size_t i = 0; i < len; ++i) nnz += a[i] != 0.0f ? 1u : 0u;
   return static_cast<float>(nnz) >=
          kMinBlockedDensity * static_cast<float>(len);
-}
-
-// Scalar direct kernel with the fused bias/ReLU epilogues: the reference
-// i-k-j order (ascending k per element, exact-zero skip), bias seeding the
-// row before the k loop and ReLU applied after it — the same per-element
-// operation sequence as the blocked micro-kernels.
-void scalar_direct(const float* a, const float* b, const float* row_bias,
-                   float* c, int m, int k, int n, Epilogue epilogue) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    if (row_bias != nullptr) {
-      for (int j = 0; j < n; ++j) crow[j] = row_bias[i];
-    }
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(kk) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-    if (epilogue == Epilogue::kRelu) {
-      for (int j = 0; j < n; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-    }
-  }
 }
 
 }  // namespace
@@ -216,29 +186,16 @@ void force_isa(const char* name) { dispatcher().force(name); }
 
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
                      int n) {
-  const KernelTable& t = dispatcher().active();
-  if (!blocked_profitable(a, static_cast<std::size_t>(m) * k, n, t.nr)) {
-    scalar_direct(a, b, nullptr, c, m, k, n, Epilogue::kNone);
+  if (!blocked_profitable(a, static_cast<std::size_t>(m) * k)) {
+    ref::gemm_accumulate(a, b, c, m, k, n);
     return;
   }
-  t.direct(a, b, nullptr, c, m, k, n, Epilogue::kNone);
-}
-
-void gemm_bias_accumulate(const float* a, const float* b,
-                          const float* row_bias, float* c, int m, int k, int n,
-                          Epilogue epilogue) {
-  const KernelTable& t = dispatcher().active();
-  if (!blocked_profitable(a, static_cast<std::size_t>(m) * k, n, t.nr)) {
-    scalar_direct(a, b, row_bias, c, m, k, n, epilogue);
-    return;
-  }
-  t.direct(a, b, row_bias, c, m, k, n, epilogue);
+  dispatcher().active().direct(a, b, c, m, k, n);
 }
 
 void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
-  const KernelTable& t = dispatcher().active();
-  if (!blocked_profitable(a, static_cast<std::size_t>(k) * m, n, t.nr)) {
+  if (!blocked_profitable(a, static_cast<std::size_t>(k) * m)) {
     ref::gemm_at_b_accumulate(a, b, c, m, k, n);
     return;
   }
@@ -252,20 +209,28 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
       at[static_cast<std::size_t>(i) * k + kk] = arow[i];
     }
   }
-  t.direct(at, b, nullptr, c, m, k, n, Epilogue::kNone);
+  dispatcher().active().direct(at, b, c, m, k, n);
 }
 
-// The dot kernels need no adaptive gate: with n below one sliver the packed
-// loop never runs and the column tail is exactly the scalar reference, and
-// the dot form has no zero skip for sparsity to feed.
+// The dot form has no zero skip for sparsity to feed, so it needs no
+// density gate: B ([N,K]) is transposed once into a zero-padded B^T panel,
+// the layout gemm_a_bt_packed_accumulate takes.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n) {
-  dispatcher().active().dot(a, b, nullptr, c, m, k, n, Epilogue::kNone);
-}
-
-void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
-                    float* c, int m, int k, int n, Epilogue epilogue) {
-  dispatcher().active().dot(a, b, col_bias, c, m, k, n, epilogue);
+  if (m <= 0 || n <= 0) return;
+  const int ldbt = panel_stride(n);
+  float* bt = transpose_scratch(static_cast<std::size_t>(k) * ldbt);
+  // kPanelAlign columns at a time, so the reads walk that many rows of B.
+  for (int j0 = 0; j0 < ldbt; j0 += kPanelAlign) {
+    for (int kk = 0; kk < k; ++kk) {
+      float* dst = bt + static_cast<std::size_t>(kk) * ldbt + j0;
+      for (int j = 0; j < kPanelAlign; ++j) {
+        dst[j] = j0 + j < n ? b[static_cast<std::size_t>(j0 + j) * k + kk]
+                            : 0.0f;
+      }
+    }
+  }
+  dispatcher().active().dot_packed(a, bt, ldbt, c, m, k, n);
 }
 
 void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,

@@ -1,11 +1,11 @@
-// Blocked, vectorized GEMM micro-kernels with fused epilogues.
+// Blocked, vectorized GEMM micro-kernels.
 //
 // This is the performance layer under tensor/ops.hpp: cache-blocked,
-// register-tiled GEMM kernels with B-panel packing and a j-vectorized inner
-// loop (compiler auto-vectorization over contiguous output columns). The
-// implementation is compiled three times — SSE2 baseline, AVX2, AVX-512 —
-// and the widest variant the host supports is selected once at runtime, so
-// default (non -march=native) builds still use wide vectors.
+// register-tiled GEMM kernels over packed B panels, vectorized across
+// contiguous output columns. The implementation is compiled three times —
+// SSE2 baseline, AVX2, AVX-512 — and the widest variant the host supports
+// is selected once at runtime, so default (non -march=native) builds still
+// use wide vectors.
 //
 // Determinism contract (see DESIGN.md "Kernel layer"): every kernel performs
 //, per output element, exactly the same sequence of float operations as the
@@ -20,16 +20,17 @@
 //     gets the reference's float/double operations in the reference's
 //     order; bn_channel_sums keeps each channel's sums in ascending order.
 // Blocking/tiling only regroups *independent* output elements (i/j), never
-// the per-element reduction, and the translation unit is built with
-// -ffp-contract=off so no variant fuses multiply+add. Results are therefore
-// byte-identical to the reference at any block size, vector width, and
-// thread count.
+// the per-element reduction; columns past the last whole tile run in a
+// zero-padded tile whose padding lanes are never stored. The translation
+// unit is built with -ffp-contract=off so no variant fuses multiply+add.
+// Results are therefore byte-identical to the reference at any block size,
+// vector width, and thread count.
 //
 // Because the orders are identical, dispatch is free to pick whichever
 // implementation is faster per call: the direct kernels fall back to the
-// scalar reference form when N is narrower than one sliver or when A is
-// mostly exact zeros (pruned/quantized weights), where the naive zero-skip
-// beats packing. The choice never changes the output bytes.
+// reference when A is mostly exact zeros (pruned/quantized weights), where
+// the naive zero-skip beats packing. The choice never changes the output
+// bytes.
 
 #pragma once
 
@@ -37,24 +38,10 @@
 
 namespace adapex::kernels {
 
-/// Optional activation fused into the final store of a forward GEMM.
-enum class Epilogue {
-  kNone,
-  kRelu,  ///< out = max(0, out), applied after the full k reduction.
-};
-
 /// C[M,N] += A[M,K] * B[K,N]. Blocked i-k-j kernel; skips terms where the A
 /// operand is exactly zero (quantized weights are often exact zeros).
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
                      int n);
-
-/// gemm_accumulate with a fused bias/activation epilogue: equivalent to
-/// filling row i of C with row_bias[i] (when row_bias != nullptr), running
-/// gemm_accumulate, then applying the epilogue — without the extra passes.
-/// When row_bias == nullptr, C's existing contents seed the accumulation.
-void gemm_bias_accumulate(const float* a, const float* b,
-                          const float* row_bias, float* c, int m, int k, int n,
-                          Epilogue epilogue);
 
 /// C[M,N] += A^T[M,K] * B[K,N] where A is stored [K,M]. Same per-element
 /// semantics as gemm_accumulate (ascending k, zero skip); implemented as a
@@ -66,8 +53,8 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
 /// C[M,N] += A[M,K] * B^T[K,N] where B is stored [N,K] (row dot products).
 /// Each element's accumulator starts at zero, sums in ascending-k order
 /// without a zero skip, and is added to C once — exactly the reference
-/// reduction — vectorized across independent output columns via a packed
-/// transpose of the B panel.
+/// reduction. B is transposed once into a zero-padded panel and run
+/// through gemm_a_bt_packed_accumulate's kernel.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
 
@@ -89,12 +76,6 @@ constexpr int panel_stride(int n) {
 /// the result is byte-identical to it on the unpacked B.
 void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
                                  float* c, int m, int k, int n);
-
-/// gemm_a_bt_accumulate with a fused column-bias/activation epilogue:
-/// out[i][j] = epilogue(col_bias[j] + dot) when col_bias != nullptr
-/// (overwrites C), else epilogue(C[i][j] + dot).
-void gemm_a_bt_bias(const float* a, const float* b, const float* col_bias,
-                    float* c, int m, int k, int n, Epilogue epilogue);
 
 // ---------------------------------------------------------------------------
 // Element-wise training passes of the activation quantizer (nn/quant.hpp)
@@ -125,7 +106,7 @@ void bn_channel_sums(const float* a, const float* b, int n, int c,
                      std::size_t plane, double* sum_a, double* sum_ab);
 
 /// BatchNorm affine, in float: xhat = (x - mean[ch]) * inv_std[ch] (stored
-/// when xhat != nullptr) and y = gamma[ch] * xhat + beta[ch].
+/// when xhat != nullptr) and y = gamma[ch] * xhat + beta[ch]. y may equal x.
 void bn_forward(const float* x, float* y, float* xhat, int n, int c,
                 std::size_t plane, const float* mean, const float* inv_std,
                 const float* gamma, const float* beta);

@@ -9,21 +9,6 @@
 
 namespace adapex::ops {
 
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
-                     int n) {
-  kernels::gemm_accumulate(a, b, c, m, k, n);
-}
-
-void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n) {
-  kernels::gemm_at_b_accumulate(a, b, c, m, k, n);
-}
-
-void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n) {
-  kernels::gemm_a_bt_accumulate(a, b, c, m, k, n);
-}
-
 int out_dim(int in, int kernel, int stride) {
   ADAPEX_CHECK(kernel >= 1 && stride >= 1 && in >= kernel,
                "invalid pooling/conv geometry");
@@ -147,8 +132,7 @@ void col2im_accumulate(const float* col, std::size_t ldcol, int channels,
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, std::vector<float>& /*col_scratch*/,
-                      bool fuse_relu) {
+                      const Tensor& bias, std::vector<float>& /*col_scratch*/) {
   check_conv_geometry(input, weight);
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
@@ -162,8 +146,6 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   float* panel = filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
 
   Tensor out({batch, fout, oh, ow});
-  const auto epilogue =
-      fuse_relu ? kernels::Epilogue::kRelu : kernels::Epilogue::kNone;
   for (int n0 = 0; n0 < batch; n0 += chunk) {
     const int images = std::min(chunk, batch - n0);
     const std::size_t cols = static_cast<std::size_t>(images) * patch;
@@ -173,15 +155,15 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
     }
     // Every element reduces over the same k in the same order as a
     // one-image GEMM would, seeded by the bias or by zero like the fresh
-    // output; bias and ReLU are fused into the kernel's accumulate/store.
-    // A one-image chunk's panel is its output image itself.
+    // output. A one-image chunk's panel is its output image itself.
     float* optr = out.data() + static_cast<std::size_t>(n0) * fout * patch;
     float* dst = images == 1 ? optr : panel;
-    if (images > 1 && bias.empty()) std::fill(dst, dst + fout * cols, 0.0f);
-    kernels::gemm_bias_accumulate(weight.data(), col,
-                                  bias.empty() ? nullptr : bias.data(), dst,
-                                  fout, kdim, static_cast<int>(cols),
-                                  epilogue);
+    for (int f = 0; f < fout; ++f) {
+      std::fill(dst + f * cols, dst + (f + 1) * cols,
+                bias.empty() ? 0.0f : bias[static_cast<std::size_t>(f)]);
+    }
+    kernels::gemm_accumulate(weight.data(), col, dst, fout, kdim,
+                             static_cast<int>(cols));
     for (int i = 0; images > 1 && i < images; ++i) {
       for (int f = 0; f < fout; ++f) {
         std::memcpy(optr + (i * fout + f) * patch, panel + f * cols + i * patch,
@@ -269,19 +251,21 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
 }
 
 Tensor linear_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, bool fuse_relu) {
+                      const Tensor& bias) {
   ADAPEX_CHECK(input.ndim() == 2, "linear input must be [N,In]");
   const int batch = input.dim(0), in = input.dim(1), out = weight.dim(0);
   ADAPEX_CHECK(weight.dim(1) == in,
                "linear weight expects " + std::to_string(weight.dim(1)) +
                    " inputs, got " + std::to_string(in));
   Tensor y({batch, out});
-  // y = epilogue(bias + x * W^T): the bias broadcast (and optional ReLU) is
-  // fused into the kernel's store instead of a separate fill pass.
-  kernels::gemm_a_bt_bias(
-      input.data(), weight.data(), bias.empty() ? nullptr : bias.data(),
-      y.data(), batch, in, out,
-      fuse_relu ? kernels::Epilogue::kRelu : kernels::Epilogue::kNone);
+  // y = bias + x * W^T: each row seeded with the bias, then one dot
+  // product added per element.
+  for (int n = 0; !bias.empty() && n < batch; ++n) {
+    std::copy(bias.data(), bias.data() + out,
+              y.data() + static_cast<std::size_t>(n) * out);
+  }
+  kernels::gemm_a_bt_accumulate(input.data(), weight.data(), y.data(), batch,
+                                in, out);
   return y;
 }
 
@@ -374,14 +358,15 @@ Tensor maxpool_forward(const Tensor& input, int kernel, int stride,
   return out;
 }
 
-Tensor maxpool_backward(const Tensor& input, const Tensor& grad_output,
-                        int kernel, int stride,
+Tensor maxpool_backward(const std::vector<int>& input_shape,
+                        const Tensor& grad_output, int kernel, int stride,
                         const std::vector<int>& argmax) {
-  const int batch = input.dim(0), ch = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
+  ADAPEX_CHECK(input_shape.size() == 4, "maxpool input must be [N,C,H,W]");
+  const int batch = input_shape[0], ch = input_shape[1], h = input_shape[2],
+            w = input_shape[3];
   const int oh = out_dim(h, kernel, stride), ow = out_dim(w, kernel, stride);
   ADAPEX_ASSERT(argmax.size() == grad_output.numel());
-  Tensor grad_input(input.shape());
+  Tensor grad_input(input_shape);
   std::size_t oi = 0;
   for (int n = 0; n < batch; ++n) {
     for (int c = 0; c < ch; ++c) {
@@ -393,22 +378,6 @@ Tensor maxpool_backward(const Tensor& input, const Tensor& grad_output,
     }
   }
   return grad_input;
-}
-
-Tensor relu_forward(const Tensor& input) {
-  Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
-  }
-  return out;
-}
-
-Tensor relu_backward(const Tensor& input, const Tensor& grad_output) {
-  Tensor grad(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    grad[i] = input[i] > 0.0f ? grad_output[i] : 0.0f;
-  }
-  return grad;
 }
 
 Tensor softmax(const Tensor& logits) {

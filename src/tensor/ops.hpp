@@ -1,15 +1,15 @@
-// Numeric kernels: GEMM, convolution (im2col/im2row-based), pooling, batch
-// normalization, activations, softmax, and their backward passes.
+// Tensor-level layer passes: convolution (im2col/im2row-based), linear,
+// pooling, softmax/cross-entropy, and their backward passes.
 //
 // Forward/backward pairs implement exactly the math the nn layer graph needs
 // for quantization-aware training. All kernels are single-threaded and
 // deterministic; convolution is unpadded with stride 1 (the CNV topology the
 // paper evaluates uses only 3x3 valid convolutions).
 //
-// The GEMMs route through the blocked, vectorized kernel layer in
-// tensor/kernels.hpp, which is byte-identical to the naive references it
-// replaced (see the determinism contract there and DESIGN.md "Kernel
-// layer").
+// Their GEMMs are the blocked, vectorized kernels of tensor/kernels.hpp,
+// which callers that need a raw GEMM use directly; they are byte-identical
+// to the naive references they replaced (see the determinism contract there
+// and DESIGN.md "Kernel layer").
 
 #pragma once
 
@@ -19,18 +19,6 @@
 #include "tensor/tensor.hpp"
 
 namespace adapex::ops {
-
-/// C[M,N] += A[M,K] * B[K,N]. C must be pre-sized; not zeroed here.
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k,
-                     int n);
-
-/// C[M,N] += A^T[M,K] * B[K,N] where A is stored [K,M].
-void gemm_at_b_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n);
-
-/// C[M,N] += A[M,K] * B^T[K,N] where B is stored [N,K].
-void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
-                          int k, int n);
 
 /// Output spatial size of an unpadded convolution/pool: floor((in-k)/s)+1.
 int out_dim(int in, int kernel, int stride);
@@ -47,15 +35,14 @@ void col2im_accumulate(const float* col, std::size_t ldcol, int channels,
                        int height, int width, int kernel, float* img);
 
 /// Convolution forward. input [N,C,H,W], weight [F,C,k,k], bias [F] (may be
-/// empty), output [N,F,oh,ow]. Its im2col and output panels are per-thread
+/// empty), output [N,F,oh,ow]: each output element starts at its filter's
+/// bias (or 0) and adds the W * col products in the direct GEMM's order
+/// (tensor/kernels.hpp). Its im2col and output panels are per-thread
 /// buffers shared by every layer (see DESIGN.md "Kernel layer"), so
 /// `col_scratch` is left untouched; it keeps the signature of the
-/// conv2d_backward pair. With fuse_relu the ReLU is applied in the GEMM
-/// epilogue — bit-identical to conv2d_forward followed by relu_forward,
-/// without the extra pass.
+/// conv2d_backward pair.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, std::vector<float>& col_scratch,
-                      bool fuse_relu = false);
+                      const Tensor& bias, std::vector<float>& col_scratch);
 
 /// Convolution backward: fills grad_input (same shape as input), accumulates
 /// into grad_weight (the weight's shape) and grad_bias ([F], or empty to
@@ -74,11 +61,11 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      Tensor& grad_weight, Tensor& grad_bias,
                      std::vector<float>& col_scratch);
 
-/// Linear forward: input [N,In], weight [Out,In], bias [Out] -> [N,Out].
-/// With fuse_relu the ReLU is applied in the GEMM epilogue — bit-identical
-/// to linear_forward followed by relu_forward, without the extra pass.
+/// Linear forward: input [N,In], weight [Out,In], bias [Out] (may be empty)
+/// -> [N,Out]: each output element is its bias (or 0) plus one dot product,
+/// added once (the dot GEMM contract in tensor/kernels.hpp).
 Tensor linear_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, bool fuse_relu = false);
+                      const Tensor& bias);
 
 /// Linear backward.
 void linear_backward(const Tensor& input, const Tensor& weight,
@@ -90,15 +77,11 @@ void linear_backward(const Tensor& input, const Tensor& weight,
 Tensor maxpool_forward(const Tensor& input, int kernel, int stride,
                        std::vector<int>& argmax);
 
-/// Max-pool backward using recorded argmax indices.
-Tensor maxpool_backward(const Tensor& input, const Tensor& grad_output,
-                        int kernel, int stride, const std::vector<int>& argmax);
-
-/// ReLU forward (elementwise max(0, x)).
-Tensor relu_forward(const Tensor& input);
-
-/// ReLU backward: passes gradient where input > 0.
-Tensor relu_backward(const Tensor& input, const Tensor& grad_output);
+/// Max-pool backward using recorded argmax indices: the gradient of an
+/// input of shape `input_shape` ([N,C,H,W]).
+Tensor maxpool_backward(const std::vector<int>& input_shape,
+                        const Tensor& grad_output, int kernel, int stride,
+                        const std::vector<int>& argmax);
 
 /// Row-wise softmax of logits [N,K].
 Tensor softmax(const Tensor& logits);

@@ -1,12 +1,12 @@
 // Differential tests for the blocked kernel layer (tensor/kernels.hpp):
 // every blocked kernel must be byte-identical to the retained naive
-// reference at awkward shapes, fused epilogues must equal their unfused
-// compositions bit for bit, the image-batched conv passes must equal the
-// per-image reference on every tiny CNV conv shape, the vectorized
-// activation-quantizer and BatchNorm passes must equal their scalar
-// references on adversarial floats, all ISA tiers must agree, and the
-// end-to-end train -> eval pipeline must be byte-identical at any thread
-// count.
+// reference at awkward shapes, including narrow and partial-sliver N, the
+// image-batched conv passes must equal the per-image reference on every
+// tiny CNV conv shape, the bias-seeded conv and linear forwards must equal
+// their reference compositions, the vectorized activation-quantizer and
+// BatchNorm passes must equal their scalar references on adversarial
+// floats, all ISA tiers must agree, and the end-to-end train -> eval
+// pipeline must be byte-identical at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -107,9 +107,9 @@ TEST(Kernels, GemmABtMatchesReferenceBitwise) {
   }
 }
 
-// ~90% exact zeros in A trips the adaptive density fallback (scalar
-// reference path) even at sliver-wide N; the output bytes must not care
-// which implementation dispatch picked.
+// ~90% exact zeros in A trips the adaptive density fallback (the reference
+// kernel); the output bytes must not care which implementation dispatch
+// picked.
 TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
   for (const auto& s : kShapes) {
     Rng zrng(1234);
@@ -118,7 +118,6 @@ TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
       if (zrng.bernoulli(0.9)) v = 0.0f;
     }
     const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 112, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.m), 113, false);
     auto c_ref = random_matrix(static_cast<std::size_t>(s.m) * s.n, 114, false);
     auto c_blk = c_ref;
     kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
@@ -126,25 +125,6 @@ TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
     kernels::gemm_accumulate(a.data(), b.data(), c_blk.data(), s.m, s.k, s.n);
     ASSERT_EQ(0, std::memcmp(c_ref.data(), c_blk.data(),
                              c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-
-    // Fused bias+relu through the same fallback.
-    std::vector<float> c_fref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_fref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(i)];
-      }
-    }
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_fref.data(), s.m, s.k,
-                                  s.n);
-    for (auto& v : c_fref) v = v > 0.0f ? v : 0.0f;
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
-                                  c_fused.data(), s.m, s.k, s.n,
-                                  kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_fref.data(), c_fused.data(),
-                             c_fref.size() * sizeof(float)))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
 
     // A^T B with sparse A ([K,M]) takes the ref fallback before transposing.
@@ -162,58 +142,6 @@ TEST(Kernels, SparseFallbackMatchesReferenceBitwise) {
                                   s.m, s.k, s.n);
     ASSERT_EQ(0, std::memcmp(c_tref.data(), c_tblk.data(),
                              c_tref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
-}
-
-TEST(Kernels, FusedRowBiasEpilogueMatchesComposition) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 101, true);
-    const auto b = random_matrix(static_cast<std::size_t>(s.k) * s.n, 102, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.m), 103, false);
-    // Composition: fill rows with bias, then plain accumulate, then relu.
-    std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_ref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(i)];
-      }
-    }
-    kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), s.m, s.k,
-                                  s.n);
-    for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
-
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_bias_accumulate(a.data(), b.data(), bias.data(),
-                                  c_fused.data(), s.m, s.k, s.n,
-                                  kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
-                             c_ref.size() * sizeof(float)))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
-}
-
-TEST(Kernels, FusedColBiasEpilogueMatchesComposition) {
-  for (const auto& s : kShapes) {
-    const auto a = random_matrix(static_cast<std::size_t>(s.m) * s.k, 201, false);
-    const auto b = random_matrix(static_cast<std::size_t>(s.n) * s.k, 202, false);
-    const auto bias = random_matrix(static_cast<std::size_t>(s.n), 203, false);
-    std::vector<float> c_ref(static_cast<std::size_t>(s.m) * s.n);
-    for (int i = 0; i < s.m; ++i) {
-      for (int j = 0; j < s.n; ++j) {
-        c_ref[static_cast<std::size_t>(i) * s.n + j] =
-            bias[static_cast<std::size_t>(j)];
-      }
-    }
-    kernels::ref::gemm_a_bt_accumulate(a.data(), b.data(), c_ref.data(), s.m,
-                                       s.k, s.n);
-    for (auto& v : c_ref) v = v > 0.0f ? v : 0.0f;
-
-    std::vector<float> c_fused(static_cast<std::size_t>(s.m) * s.n, -1.0f);
-    kernels::gemm_a_bt_bias(a.data(), b.data(), bias.data(), c_fused.data(),
-                            s.m, s.k, s.n, kernels::Epilogue::kRelu);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_fused.data(),
-                             c_ref.size() * sizeof(float)))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
   }
 }
@@ -269,7 +197,7 @@ struct ConvCase {
 };
 
 struct ConvResult {
-  Tensor out, out_bias_relu, grad_input, grad_weight, grad_bias;
+  Tensor out, out_bias, grad_input, grad_weight, grad_bias;
 };
 
 struct ConvOperands {
@@ -315,17 +243,14 @@ ConvResult reference_conv(const ConvOperands& o) {
     float* out = r.out.data() + static_cast<std::size_t>(n) * fout * patch;
     kernels::ref::gemm_accumulate(o.wt.data(), col.data(), out, fout, kdim,
                                   patch);
-    float* fused =
-        r.out_bias_relu.data() + static_cast<std::size_t>(n) * fout * patch;
+    float* biased =
+        r.out_bias.data() + static_cast<std::size_t>(n) * fout * patch;
     for (int f = 0; f < fout; ++f) {
-      std::fill(fused + f * patch, fused + (f + 1) * patch,
+      std::fill(biased + f * patch, biased + (f + 1) * patch,
                 o.bias[static_cast<std::size_t>(f)]);
     }
-    kernels::ref::gemm_accumulate(o.wt.data(), col.data(), fused, fout, kdim,
+    kernels::ref::gemm_accumulate(o.wt.data(), col.data(), biased, fout, kdim,
                                   patch);
-    for (int i = 0; i < fout * patch; ++i) {
-      fused[i] = fused[i] > 0.0f ? fused[i] : 0.0f;
-    }
 
     const float* dout =
         o.dy.data() + static_cast<std::size_t>(n) * fout * patch;
@@ -349,8 +274,7 @@ ConvResult batched_conv(const ConvOperands& o) {
   std::vector<float> scratch;
   const Tensor no_bias;
   ConvResult r{ops::conv2d_forward(o.x, o.wt, no_bias, scratch),
-               ops::conv2d_forward(o.x, o.wt, o.bias, scratch,
-                                   /*fuse_relu=*/true),
+               ops::conv2d_forward(o.x, o.wt, o.bias, scratch),
                Tensor(), o.dw0, o.db0};
   ops::conv2d_backward(o.x, o.wt, o.dy, r.grad_input, r.grad_weight,
                        r.grad_bias, scratch);
@@ -368,8 +292,8 @@ void expect_conv_bitwise(const ConvResult& ref, const ConvResult& got,
                      << isa << " " << cc.cin << "->" << cc.fout << " @"
                      << cc.h << " batch " << cc.batch;
   EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "out " << where;
-  EXPECT_TRUE(bitwise_equal(ref.out_bias_relu, got.out_bias_relu))
-      << "out+bias+relu " << where;
+  EXPECT_TRUE(bitwise_equal(ref.out_bias, got.out_bias))
+      << "out+bias " << where;
   EXPECT_TRUE(bitwise_equal(ref.grad_input, got.grad_input)) << "dX " << where;
   EXPECT_TRUE(bitwise_equal(ref.grad_weight, got.grad_weight))
       << "dW " << where;
@@ -698,6 +622,102 @@ void expect_batchnorm_matches_reference(const char* isa) {
   }
 }
 
+// ------------------------------------------------- narrow N and linear bias
+
+// Every GEMM against its reference at N narrower than one sliver, just
+// past whole slivers and vectors, and past one kNC column panel, with k = 0
+// and k past one kKC depth block. C holds -0 seeds over an all-zero A row
+// and B holds infinities, so a dropped zero skip (-0 + +0 = +0, 0 * inf =
+// NaN) shows in the bytes. C is sized exactly, so under ASan a load or
+// store past its last column faults.
+void expect_narrow_gemms_match_reference(const char* isa) {
+  for (int n : {1, 3, 10, 15, 17, 48, 63, 65, 96, 144, 515}) {
+    for (int k : {0, 1, 7, 300}) {
+      for (int m : {1, 5, 13}) {
+        const auto where = ::testing::Message()
+                           << isa << " m=" << m << " k=" << k << " n=" << n;
+        const auto len = [](int rows, int cols) {
+          return static_cast<std::size_t>(rows) * cols;
+        };
+        auto a = random_matrix(len(m, k), 501 + n, true);
+        // Row 0 all zeros; with m = 1 that would leave A below the density
+        // gate, so the single-row case keeps its random row.
+        if (m > 1) std::fill(a.begin(), a.begin() + k, 0.0f);
+        auto b = random_matrix(len(k, n), 502 + n, false);
+        for (std::size_t i = 3; i < b.size(); i += 11) b[i] = kInf;
+        auto c0 = random_matrix(len(m, n), 503 + n, false);
+        for (std::size_t i = 0; i < c0.size(); i += 3) c0[i] = -0.0f;
+
+        auto c_ref = c0, c_got = c0;
+        kernels::ref::gemm_accumulate(a.data(), b.data(), c_ref.data(), m, k,
+                                      n);
+        kernels::gemm_accumulate(a.data(), b.data(), c_got.data(), m, k, n);
+        EXPECT_TRUE(same_bits(c_ref, c_got)) << "gemm_accumulate " << where;
+
+        // A stored [K,M]: the transpose of the same matrix, row 0 -> column 0.
+        std::vector<float> at(len(k, m));
+        for (int i = 0; i < m; ++i) {
+          for (int kk = 0; kk < k; ++kk) {
+            at[len(kk, m) + i] = a[len(i, k) + kk];
+          }
+        }
+        c_ref = c0;
+        c_got = c0;
+        kernels::ref::gemm_at_b_accumulate(at.data(), b.data(), c_ref.data(),
+                                           m, k, n);
+        kernels::gemm_at_b_accumulate(at.data(), b.data(), c_got.data(), m, k,
+                                      n);
+        EXPECT_TRUE(same_bits(c_ref, c_got))
+            << "gemm_at_b_accumulate " << where;
+
+        // B stored [N,K], finite: the dot form has no zero skip to check.
+        const auto bt = random_matrix(len(n, k), 504 + n, true);
+        c_ref = c0;
+        c_got = c0;
+        kernels::ref::gemm_a_bt_accumulate(a.data(), bt.data(), c_ref.data(),
+                                           m, k, n);
+        kernels::gemm_a_bt_accumulate(a.data(), bt.data(), c_got.data(), m, k,
+                                      n);
+        EXPECT_TRUE(same_bits(c_ref, c_got))
+            << "gemm_a_bt_accumulate " << where;
+      }
+    }
+  }
+}
+
+// ops::linear_forward against its composition: each row seeded with the
+// bias (or zeros), then the reference dot GEMM. The tiny CNV's 96 -> 96 FC
+// and 96 -> 10 classifier at its training and eval batches, and odd shapes.
+void expect_linear_matches_reference(const char* isa) {
+  struct LinearShape {
+    int batch, in, out;
+  };
+  const LinearShape shapes[] = {{16, 96, 96}, {32, 96, 96}, {16, 96, 10},
+                                {32, 96, 10}, {4, 30, 9},   {3, 7, 1}};
+  for (const LinearShape& sh : shapes) {
+    Rng rng(static_cast<std::uint64_t>(sh.batch * 1000 + sh.in + sh.out));
+    Tensor x({sh.batch, sh.in});
+    x.randn_(rng, 1.0f);
+    Tensor w({sh.out, sh.in});
+    w.randn_(rng, 0.5f);
+    Tensor bias({sh.out});
+    bias.randn_(rng, 0.5f);
+    for (const Tensor& b : {bias, Tensor()}) {
+      Tensor want({sh.batch, sh.out});
+      for (int n = 0; n < sh.batch && !b.empty(); ++n) {
+        for (int j = 0; j < sh.out; ++j) {
+          want.at2(n, j) = b[static_cast<std::size_t>(j)];
+        }
+      }
+      kernels::ref::gemm_a_bt_accumulate(x.data(), w.data(), want.data(),
+                                         sh.batch, sh.in, sh.out);
+      EXPECT_TRUE(bitwise_equal(want, ops::linear_forward(x, w, b)))
+          << isa << " " << sh.batch << "x" << sh.in << "->" << sh.out
+          << (b.empty() ? " no bias" : " bias");
+    }
+  }
+}
+
 TEST(Kernels, ActQuantizerStePassesNothingAtTheClampEdges) {
   const float s = 0.75f;
   const std::vector<float> x = {0.0f, -0.0f, s, std::nextafter(s, 0.0f),
@@ -770,6 +790,8 @@ TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
       expect_conv_bitwise(conv_refs[i], batched_conv(conv_operands[i]),
                           conv_cases[i], isa);
     }
+    expect_narrow_gemms_match_reference(isa);
+    expect_linear_matches_reference(isa);
     // The element-wise passes equal their scalar references at every tier.
     expect_act_quantizer_matches_reference(isa);
     expect_batchnorm_matches_reference(isa);
@@ -862,36 +884,8 @@ TEST(Kernels, AugmentImageIntoMatchesAugmentImage) {
   }
 }
 
-TEST(Kernels, FusedForwardOpsMatchUnfusedCompositionBitwise) {
-  Rng rng(21);
-  Tensor x({2, 3, 12, 12});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    x[i] = static_cast<float>(rng.uniform() * 2.0 - 1.0);
-  }
-  Tensor wt({5, 3, 3, 3});
-  wt.randn_(rng, 0.5f);
-  Tensor bias({5});
-  bias.randn_(rng, 0.5f);
-  std::vector<float> scratch;
-  Tensor plain = ops::relu_forward(ops::conv2d_forward(x, wt, bias, scratch));
-  Tensor fused = ops::conv2d_forward(x, wt, bias, scratch, /*fuse_relu=*/true);
-  ASSERT_EQ(plain.shape(), fused.shape());
-  EXPECT_EQ(0, std::memcmp(plain.data(), fused.data(),
-                           plain.numel() * sizeof(float)));
-
-  Tensor xl({4, 30});
-  for (std::size_t i = 0; i < xl.numel(); ++i) {
-    xl[i] = static_cast<float>(rng.uniform() * 2.0 - 1.0);
-  }
-  Tensor wl({9, 30});
-  wl.randn_(rng, 0.5f);
-  Tensor bl({9});
-  bl.randn_(rng, 0.5f);
-  Tensor lplain = ops::relu_forward(ops::linear_forward(xl, wl, bl));
-  Tensor lfused = ops::linear_forward(xl, wl, bl, /*fuse_relu=*/true);
-  ASSERT_EQ(lplain.shape(), lfused.shape());
-  EXPECT_EQ(0, std::memcmp(lplain.data(), lfused.data(),
-                           lplain.numel() * sizeof(float)));
+TEST(Kernels, LinearForwardMatchesReferenceBitwise) {
+  expect_linear_matches_reference(kernels::active_isa());
 }
 
 // End-to-end keystone: a seeded train -> eval pipeline must produce

@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/thread_pool.hpp"
 #include "core/adapex.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -107,6 +108,19 @@ void conv_shape_args(benchmark::internal::Benchmark* b) {
   b->Args({8, 16, 32, 16})->Args({16, 3, 12, 32})->Args({16, 48, 48, 3});
 }
 
+// Conv arguments with a work-team size last: the tiny-scale CNV's l0 (3 ->
+// 12 @ 32x32), l1 (12 -> 12 @ 30x30) and l3 (24 -> 24 @ 12x12) convs at its
+// training batch, alone and on a team of 2 (the share of each base
+// training on a 4-thread host).
+void conv_team_args(benchmark::internal::Benchmark* b) {
+  for (int team : {1, 2}) {
+    b->Args({16, 3, 12, 32, team})
+        ->Args({16, 12, 12, 30, team})
+        ->Args({16, 24, 24, 12, team});
+  }
+  b->UseRealTime();
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int c = static_cast<int>(state.range(1));
@@ -127,6 +141,14 @@ void BM_Conv2dForward(benchmark::State& state) {
                           (h - 2) * (h - 2));
 }
 BENCHMARK(BM_Conv2dForward)->Apply(conv_shape_args);
+
+// BM_Conv2dForward on a work team of state.range(4) threads.
+void BM_Conv2dForwardTeam(benchmark::State& state) {
+  WorkTeam team(static_cast<std::size_t>(state.range(4)));
+  const WorkTeam::TeamScope scope(&team);
+  BM_Conv2dForward(state);
+}
+BENCHMARK(BM_Conv2dForwardTeam)->Apply(conv_team_args);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -156,6 +178,14 @@ void BM_Conv2dBackward(benchmark::State& state) {
                           (h - 2));
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(conv_shape_args);
+
+// BM_Conv2dBackward on a work team of state.range(4) threads.
+void BM_Conv2dBackwardTeam(benchmark::State& state) {
+  WorkTeam team(static_cast<std::size_t>(state.range(4)));
+  const WorkTeam::TeamScope scope(&team);
+  BM_Conv2dBackward(state);
+}
+BENCHMARK(BM_Conv2dBackwardTeam)->Apply(conv_team_args);
 
 // Element-wise layer arguments: {batch, channels, height = width} of the
 // tiny-scale CNV's activations at its training batch: the widest plane
@@ -214,6 +244,17 @@ void BM_BatchNormForward(benchmark::State& state) {
                           static_cast<std::int64_t>(x.numel()));
 }
 BENCHMARK(BM_BatchNormForward)->Apply(elementwise_shape_args);
+
+// BM_BatchNormForward on the widest plane, alone and on a team of 2.
+void BM_BatchNormForwardTeam(benchmark::State& state) {
+  WorkTeam team(static_cast<std::size_t>(state.range(3)));
+  const WorkTeam::TeamScope scope(&team);
+  BM_BatchNormForward(state);
+}
+BENCHMARK(BM_BatchNormForwardTeam)
+    ->Args({16, 12, 30, 1})
+    ->Args({16, 12, 30, 2})
+    ->UseRealTime();
 
 // BatchNorm backward: gradient sums and the per-element input gradient.
 void BM_BatchNormBackward(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "library/generator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <map>
@@ -148,14 +149,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Clones the family base model, prunes, retrains, compiles, and evaluates
-/// one design point. Touches only task-local state plus the const-shared
-/// base models, dataset, and spec — safe to run concurrently.
+/// Threads each of `running` concurrent training tasks gets out of
+/// `num_threads`: an even share, at least one.
+std::size_t team_share(std::size_t num_threads, std::size_t running) {
+  return std::max<std::size_t>(
+      1, num_threads / std::max<std::size_t>(running, 1));
+}
+
+/// Clones the family base model, prunes, retrains (on a work team of
+/// `team` threads), compiles, and evaluates one design point. Touches only
+/// task-local state plus the const-shared base models, dataset, and spec —
+/// safe to run concurrently.
 DesignPointResult run_design_point(const LibraryGenSpec& spec,
                                    const SyntheticDataset& data,
                                    const BranchyModel& base,
-                                   const DesignPoint& point,
-                                   int accel_id_base) {
+                                   const DesignPoint& point, int accel_id_base,
+                                   std::size_t team) {
   DesignPointResult result;
   const bool has_exits = point.variant != ModelVariant::kNoExit;
 
@@ -175,7 +184,7 @@ DesignPointResult run_design_point(const LibraryGenSpec& spec,
   if (report.achieved_rate > 0.0) {
     TrainConfig rt = spec.retrain;
     rt.seed = point.retrain_seed;
-    train_model(model, data.train, spec.dataset.flip_symmetry, rt);
+    train_model(model, data.train, spec.dataset.flip_symmetry, rt, team);
   }
 
   // Serial eval (num_threads=1): run_design_point already executes inside a
@@ -496,7 +505,9 @@ Library generate_library(const LibraryGenSpec& spec) {
 
   // One pool serves both parallel phases: the base trainings, then the
   // design-point sweep. With one thread there is no pool and everything
-  // runs inline on the calling thread.
+  // runs inline on the calling thread. Each training task also gets a work
+  // team (nn/trainer.hpp) of the threads the running tasks leave idle:
+  // num_threads split evenly over the tasks that run at once.
   const std::size_t num_threads = resolve_thread_count(spec);
   const std::size_t pool_threads =
       std::min(num_threads, std::max(to_train.size(), todo.size()));
@@ -505,12 +516,15 @@ Library generate_library(const LibraryGenSpec& spec) {
 
   if (!to_train.empty()) {
     const auto t_train = std::chrono::steady_clock::now();
+    const std::size_t team = team_share(num_threads, to_train.size());
+    report.base_train_families = to_train.size();
+    report.base_train_team = team;
     std::vector<std::exception_ptr> train_errors(to_train.size());
     for (std::size_t k = 0; k < to_train.size(); ++k) {
       auto train = [&, k] {
         try {
           train_model(*to_train[k], data->train, spec.dataset.flip_symmetry,
-                      spec.initial_train);
+                      spec.initial_train, team);
         } catch (...) {
           train_errors[k] = std::current_exception();
         }
@@ -564,7 +578,7 @@ Library generate_library(const LibraryGenSpec& spec) {
   // forked seed streams, then quarantine. Catches everything — a failing
   // point must never take down its worker or sibling points — and
   // checkpoints each success the moment it lands. Touches only slot i.
-  auto attempt_point = [&](std::size_t i) {
+  auto attempt_point = [&](std::size_t i, std::size_t team) {
     const DesignPoint& p = points[i];
     PointOutcome& out = outcomes[i];
     const auto t_point = std::chrono::steady_clock::now();
@@ -580,7 +594,8 @@ Library generate_library(const LibraryGenSpec& spec) {
         }
         const BranchyModel& base =
             p.variant != ModelVariant::kNoExit ? base_ee : base_plain;
-        results[i] = run_design_point(spec, *data, base, run, id_base[i]);
+        results[i] =
+            run_design_point(spec, *data, base, run, id_base[i], team);
         out.status =
             attempt == 0 ? PointStatus::kComputed : PointStatus::kRetried;
         out.attempts = attempt + 1;
@@ -636,10 +651,12 @@ Library generate_library(const LibraryGenSpec& spec) {
   // Fan the still-undone design points out over the pool. From here on the
   // base models, dataset, and spec are read-only shared state; each task
   // writes only its own pre-assigned slots, so assembling rows in sweep
-  // order below yields the same bytes at any thread count.
+  // order below yields the same bytes at any thread count. A point that
+  // starts while fewer undone points than workers remain retrains on a
+  // team of the workers they leave idle.
   if (!pool || todo.size() <= 1) {
     for (std::size_t i : todo) {
-      attempt_point(i);
+      attempt_point(i, num_threads);
       progress(spec, outcome_message(i));
     }
   } else {
@@ -647,10 +664,14 @@ Library generate_library(const LibraryGenSpec& spec) {
                        " design points on " + std::to_string(pool->size()) +
                        " threads");
     OrderedProgressSink sink(spec);
+    std::atomic<std::size_t> started{0};
     for (std::size_t t = 0; t < todo.size(); ++t) {
       pool->submit([&, t] {
         const std::size_t i = todo[t];
-        attempt_point(i);  // never throws: failures quarantine in-slot
+        const std::size_t undone = todo.size() - started.fetch_add(1);
+        // never throws: failures quarantine in-slot
+        attempt_point(i, team_share(num_threads,
+                                    std::min(undone, pool->size())));
         sink.publish(t, outcome_message(i));
       });
     }

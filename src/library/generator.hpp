@@ -17,13 +17,16 @@
 // every (variant, prune-rate) design point is an independent task — it
 // clones the trained base, prunes, retrains, compiles, and evaluates
 // entirely on task-local state. Both phases run on one work-stealing pool
-// (common/thread_pool.hpp). Retrain seeds are derived per design point with
-// derive_seed(spec.seed, variant, rate) (common/rng.hpp) rather than from
-// the loop schedule, results land in pre-assigned slots, and Library rows
-// are assembled in sweep order after the barrier, so the generated Library
-// is byte-identical for every thread count (ADAPEX_THREADS=1 reproduces the
-// serial path exactly). Progress messages are buffered per design point and
-// flushed in sweep order through a mutex-guarded sink.
+// (common/thread_pool.hpp), and each training in them also gets a work team
+// of the threads the running tasks leave idle (nn/trainer.hpp), whose split
+// passes are byte-identical at any team size. Retrain seeds are derived per
+// design point with derive_seed(spec.seed, variant, rate) (common/rng.hpp)
+// rather than from the loop schedule, results land in pre-assigned slots,
+// and Library rows are assembled in sweep order after the barrier, so the
+// generated Library is byte-identical for every thread count
+// (ADAPEX_THREADS=1 reproduces the serial path exactly). Progress messages
+// are buffered per design point and flushed in sweep order through a
+// mutex-guarded sink.
 //
 // Crash safety and failure isolation (library/journal.hpp): with
 // `journal_dir` set, every completed design point is checkpointed to disk
@@ -98,8 +101,11 @@ struct LibraryGenSpec {
   /// Worker threads for the base trainings, the reference evaluation and
   /// the design-point sweep: 0 resolves ADAPEX_THREADS (default:
   /// hardware_concurrency), 1 runs everything serially on the calling
-  /// thread. The generated Library is byte-identical at every thread count,
-  /// so this is deliberately NOT part of the artifact cache key.
+  /// thread. Trainings that run at once split the count evenly: each gets
+  /// num_threads / (trainings running) threads as its work team, at least
+  /// one (4 threads and both base families: 2 each; one family: all 4).
+  /// The generated Library is byte-identical at every thread count, so
+  /// this is deliberately NOT part of the artifact cache key.
   int num_threads = 0;
   /// Cross-validate every Library row against the dataflow verifier
   /// (analysis/dataflow.hpp): the entry's recorded throughput must match

@@ -97,8 +97,8 @@ std::string GenerationReport::summary() const {
   std::snprintf(buf, sizeof(buf), "; checkpoint overhead %.2f%%",
                 100.0 * checkpoint_overhead());
   s += buf;
-  std::snprintf(buf, sizeof(buf), "; base training %.2f s",
-                base_train_wall_s);
+  std::snprintf(buf, sizeof(buf), "; base training %.2f s on %zu×%zu threads",
+                base_train_wall_s, base_train_families, base_train_team);
   s += buf;
   if (partial) s += " (PARTIAL library)";
   return s;
@@ -112,6 +112,8 @@ Json GenerationReport::to_json() const {
   j["checkpoint_wall_s"] = checkpoint_wall_s;
   j["checkpoint_overhead"] = checkpoint_overhead();
   j["base_train_wall_s"] = base_train_wall_s;
+  j["base_train_families"] = base_train_families;
+  j["base_train_team"] = base_train_team;
   Json pts = Json::array();
   for (const auto& p : points) pts.push_back(p.to_json());
   j["points"] = std::move(pts);

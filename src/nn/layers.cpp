@@ -38,7 +38,8 @@ Tensor QuantConv2d::forward(const Tensor& input, bool train) {
   quantize_weight_per_channel(weight_.value, weight_bits_, cached_qweight_);
   if (train) cached_input_ = input;
   static const Tensor kNoBias;
-  return ops::conv2d_forward(input, cached_qweight_, kNoBias, col_scratch_);
+  std::vector<float> unused_scratch;
+  return ops::conv2d_forward(input, cached_qweight_, kNoBias, unused_scratch);
 }
 
 Tensor QuantConv2d::backward(const Tensor& grad_output) {
@@ -48,8 +49,9 @@ Tensor QuantConv2d::backward(const Tensor& grad_output) {
   weight_.ensure_grad();
   // STE: gradient w.r.t. the quantized weight is applied to the latent float
   // weight directly.
+  std::vector<float> unused_scratch;
   ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, grad_input,
-                       weight_.grad, no_bias_grad, col_scratch_);
+                       weight_.grad, no_bias_grad, unused_scratch);
   return grad_input;
 }
 
@@ -57,8 +59,9 @@ void QuantConv2d::backward_params(const Tensor& grad_output) {
   ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
   Tensor no_bias_grad;
   weight_.ensure_grad();
+  std::vector<float> unused_scratch;
   ops::conv2d_backward(cached_input_, cached_qweight_, grad_output, nullptr,
-                       weight_.grad, no_bias_grad, col_scratch_);
+                       weight_.grad, no_bias_grad, unused_scratch);
 }
 
 std::string QuantConv2d::name() const {
@@ -204,7 +207,10 @@ Tensor BatchNorm::forward(const Tensor& input, bool train) {
   Tensor out(input.shape());
   if (train) {
     cached_shape_ = input.shape();
-    cached_xhat_ = Tensor(input.shape());
+    // bn_forward overwrites every xhat, so the last step's buffer serves.
+    if (cached_xhat_.shape() != input.shape()) {
+      cached_xhat_ = Tensor(input.shape());
+    }
     cached_inv_std_ = inv_std;
   }
   kernels::bn_forward(input.data(), out.data(),
@@ -293,13 +299,15 @@ void BatchNorm::slice_channels(const std::vector<int>& keep) {
 // ------------------------------------------------------------------- ActQuant
 
 Tensor ActQuant::forward(const Tensor& input, bool train) {
-  if (train) cached_input_ = input;
-  return quantizer_.forward(input, train);
+  if (train) cached_shape_ = input.shape();
+  return quantizer_.forward(input, train, train ? &pass_ : nullptr);
 }
 
 Tensor ActQuant::backward(const Tensor& grad_output) {
-  ADAPEX_CHECK(!cached_input_.empty(), "backward before forward(train=true)");
-  return quantizer_.backward(cached_input_, grad_output);
+  ADAPEX_CHECK(!cached_shape_.empty(), "backward before forward(train=true)");
+  ADAPEX_CHECK(grad_output.shape() == cached_shape_,
+               "activation gradient must have the input's shape");
+  return quantizer_.backward(pass_, grad_output);
 }
 
 std::string ActQuant::name() const {

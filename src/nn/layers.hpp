@@ -111,7 +111,6 @@ class QuantConv2d : public Layer {
   int weight_bits_;
   Tensor cached_input_;
   Tensor cached_qweight_;
-  std::vector<float> col_scratch_;
 };
 
 /// Fully-connected layer with optional weight quantization.
@@ -202,7 +201,10 @@ class ActQuant : public Layer {
 
  private:
   ActQuantizer quantizer_;
-  Tensor cached_input_;
+  /// Straight-through mask of the last training forward (one byte per
+  /// element) and that input's shape.
+  std::vector<std::uint8_t> pass_;
+  std::vector<int> cached_shape_;
 };
 
 /// Max pooling with square kernel and stride == kernel by default.

@@ -86,7 +86,8 @@ void quantize_weight_per_channel(const Tensor& weight, int bits, Tensor& out) {
   }
 }
 
-Tensor ActQuantizer::forward(const Tensor& input, bool train) {
+Tensor ActQuantizer::forward(const Tensor& input, bool train,
+                             std::vector<std::uint8_t>* pass) {
   if (train || !initialized_) {
     const float batch_max = kernels::act_batch_max(input.data(), input.numel());
     if (batch_max > 1e-12f) {
@@ -97,19 +98,20 @@ Tensor ActQuantizer::forward(const Tensor& input, bool train) {
     }
   }
   Tensor out(input.shape());
-  kernels::act_quantize(input.data(), out.data(), input.numel(),
+  if (pass != nullptr) pass->resize(input.numel());
+  kernels::act_quantize(input.data(), out.data(),
+                        pass == nullptr ? nullptr : pass->data(), input.numel(),
                         std::max(scale_, 1e-12f), bits_);
   return out;
 }
 
-Tensor ActQuantizer::backward(const Tensor& input,
+Tensor ActQuantizer::backward(const std::vector<std::uint8_t>& pass,
                               const Tensor& grad_output) const {
-  ADAPEX_CHECK(grad_output.shape() == input.shape(),
-               "activation gradient must have the input's shape");
-  Tensor grad(input.shape());
-  kernels::act_quantize_backward(input.data(), grad_output.data(), grad.data(),
-                                 input.numel(), std::max(scale_, 1e-12f),
-                                 bits_);
+  ADAPEX_CHECK(grad_output.numel() == pass.size(),
+               "activation gradient must have the input's size");
+  Tensor grad(grad_output.shape());
+  kernels::act_quantize_backward(pass.data(), grad_output.data(), grad.data(),
+                                 pass.size());
   return grad;
 }
 

@@ -52,12 +52,16 @@ class ActQuantizer {
   /// Forward: clamp to [0, scale] and quantize to `bits` unsigned levels.
   /// In training mode the scale EMA is updated from the batch max first.
   /// bits <= 0 disables quantization (plain ReLU behaviour retained by the
-  /// caller). Stores the pre-quantization input reference range needed by
-  /// backward (the caller keeps the input tensor).
-  Tensor forward(const Tensor& input, bool train);
+  /// caller). When `pass` is not null it is resized to the input's size and
+  /// receives the straight-through mask backward needs, one byte per
+  /// element (kernels::act_quantize).
+  Tensor forward(const Tensor& input, bool train,
+                 std::vector<std::uint8_t>* pass = nullptr);
 
-  /// Backward: STE within [0, scale].
-  Tensor backward(const Tensor& input, const Tensor& grad_output) const;
+  /// Backward: STE within [0, scale], i.e. grad_output where forward's
+  /// `pass` mask is set and +0 elsewhere.
+  Tensor backward(const std::vector<std::uint8_t>& pass,
+                  const Tensor& grad_output) const;
 
  private:
   int bits_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace adapex {
@@ -22,8 +23,12 @@ std::vector<double> resolve_exit_weights(const TrainConfig& config,
 
 std::vector<EpochStats> train_model(BranchyModel& model, const Dataset& train,
                                     bool flip_symmetry,
-                                    const TrainConfig& config) {
+                                    const TrainConfig& config,
+                                    std::size_t team_size) {
   ADAPEX_CHECK(train.size() > 0, "empty training set");
+  WorkTeam team(std::clamp<std::size_t>(
+      team_size, 1, static_cast<std::size_t>(std::max(config.batch_size, 1))));
+  const WorkTeam::TeamScope scope(&team);
   const auto weights = resolve_exit_weights(config, model.num_outputs());
 
   Sgd optimizer(model.params(),

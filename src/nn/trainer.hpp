@@ -45,13 +45,21 @@ std::vector<double> resolve_exit_weights(const TrainConfig& config,
 
 /// Trains `model` in place; returns one EpochStats per epoch.
 ///
+/// `team_size` threads share each training step: the calling thread and
+/// team_size - 1 helpers it starts and joins (a WorkTeam,
+/// common/thread_pool.hpp, capped at the batch size), which split the conv,
+/// BatchNorm and activation-quantizer passes. The trained model is
+/// byte-identical at every team size; 1 (the default) trains on the calling
+/// thread alone.
+///
 /// Thread-safety contract (relied on by the parallel library generator):
 /// the only state mutated is `model` and locals — `train` and `config` are
 /// accessed read-only and all randomness comes from a private Rng seeded
 /// with `config.seed`. Concurrent calls on *distinct* models sharing one
-/// const Dataset are safe and bit-reproducible.
+/// const Dataset are safe and bit-reproducible, each with its own team.
 std::vector<EpochStats> train_model(BranchyModel& model, const Dataset& train,
                                     bool flip_symmetry,
-                                    const TrainConfig& config);
+                                    const TrainConfig& config,
+                                    std::size_t team_size = 1);
 
 }  // namespace adapex

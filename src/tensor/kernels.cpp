@@ -20,6 +20,7 @@
 
 #include "common/error.hpp"
 #include "common/isa.hpp"
+#include "common/thread_pool.hpp"
 
 namespace adapex::kernels {
 
@@ -106,11 +107,12 @@ using GemmDirectFn = void (*)(const float*, const float*, float*, int, int,
 using GemmDotPackedFn = void (*)(const float*, const float*, int, float*, int,
                                  int, int);
 using BatchMaxFn = float (*)(const float*, std::size_t);
-using ActQuantizeFn = void (*)(const float*, float*, std::size_t, float, int);
-using ActQuantizeBackwardFn = void (*)(const float*, const float*, float*,
-                                       std::size_t, float, int);
+using ActQuantizeFn = void (*)(const float*, float*, std::uint8_t*,
+                               std::size_t, float, int);
+using ActQuantizeBackwardFn = void (*)(const std::uint8_t*, const float*,
+                                       float*, std::size_t);
 using ChannelSumsFn = void (*)(const float*, const float*, int, int,
-                               std::size_t, double*, double*);
+                               std::size_t, int, int, double*, double*);
 using BnForwardFn = void (*)(const float*, float*, float*, int, int,
                              std::size_t, const float*, const float*,
                              const float*, const float*);
@@ -174,6 +176,39 @@ bool blocked_profitable(const float* a, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) nnz += a[i] != 0.0f ? 1u : 0u;
   return static_cast<float>(nnz) >=
          kMinBlockedDensity * static_cast<float>(len);
+}
+
+// ------------------------------------------------------------ team splits
+
+// An element-wise pass over at least kSplitElems elements splits across
+// the calling thread's work team (common/thread_pool.hpp): on the
+// tiny-scale CNV at its training batch, the 30x30 and 28x28 planes (about
+// 100 us per pass). Smaller passes, and every pass on a thread without a
+// team, run in one piece. A split regroups independent elements, rows or
+// channels only, so the results are the unsplit bytes.
+constexpr std::size_t kSplitElems = std::size_t{1} << 16;
+
+/// [0, total) cut into `parts` ranges of `step` items (a multiple of
+/// `align`), the last one shorter.
+struct Split {
+  std::size_t parts;
+  std::size_t step;
+};
+
+Split split_for(std::size_t total, std::size_t elems, std::size_t align) {
+  const std::size_t team = elems < kSplitElems ? 1 : team_size();
+  if (total == 0 || team <= 1) return {1, total};
+  std::size_t step = (total + team - 1) / team;
+  step = (step + align - 1) / align * align;
+  return {(total + step - 1) / step, step};
+}
+
+/// Runs fn(part, begin, end) for every range of `sp` over [0, total).
+template <class F>
+void for_ranges(const Split& sp, std::size_t total, F fn) {
+  team_for(sp.parts, [&](std::size_t r) {
+    fn(r, r * sp.step, std::min(total, (r + 1) * sp.step));
+  });
 }
 
 }  // namespace
@@ -241,37 +276,83 @@ void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
 }
 
 float act_batch_max(const float* x, std::size_t n) {
-  return dispatcher().active().batch_max(x, n);
+  // Each range folds from +0 like the whole pass; folding the range maxima
+  // the same way gives the largest positive element or +0 again.
+  const Split sp = split_for(n, n, kPanelAlign);
+  std::vector<float> part(sp.parts);
+  for_ranges(sp, n, [&](std::size_t r, std::size_t i0, std::size_t i1) {
+    part[r] = dispatcher().active().batch_max(x + i0, i1 - i0);
+  });
+  float m = 0.0f;
+  for (float v : part) m = m < v ? v : m;
+  return m;
 }
 
-void act_quantize(const float* x, float* y, std::size_t n, float s, int bits) {
+void act_quantize(const float* x, float* y, std::uint8_t* pass, std::size_t n,
+                  float s, int bits) {
   ADAPEX_CHECK(bits <= 30, "act_quantize: at most 30 bits");
-  dispatcher().active().act_quantize(x, y, n, s, bits);
+  for_ranges(split_for(n, n, kPanelAlign), n,
+             [&](std::size_t, std::size_t i0, std::size_t i1) {
+               dispatcher().active().act_quantize(
+                   x + i0, y + i0, pass == nullptr ? nullptr : pass + i0,
+                   i1 - i0, s, bits);
+             });
 }
 
-void act_quantize_backward(const float* x, const float* dy, float* dx,
-                           std::size_t n, float s, int bits) {
-  dispatcher().active().act_quantize_backward(x, dy, dx, n, s, bits);
+void act_quantize_backward(const std::uint8_t* pass, const float* dy,
+                           float* dx, std::size_t n) {
+  for_ranges(split_for(n, n, kPanelAlign), n,
+             [&](std::size_t, std::size_t i0, std::size_t i1) {
+               dispatcher().active().act_quantize_backward(
+                   pass + i0, dy + i0, dx + i0, i1 - i0);
+             });
 }
 
 void bn_channel_sums(const float* a, const float* b, int n, int c,
                      std::size_t plane, double* sum_a, double* sum_ab) {
-  dispatcher().active().channel_sums(a, b, n, c, plane, sum_a, sum_ab);
+  // Channel ranges, each keeping its channels' whole chains; multiples of
+  // four channels keep the kernel's channel groups intact.
+  const std::size_t channels = static_cast<std::size_t>(std::max(c, 0));
+  const std::size_t elems = static_cast<std::size_t>(std::max(n, 0)) *
+                            channels * plane;
+  for_ranges(split_for(channels, elems, 4), channels,
+             [&](std::size_t, std::size_t c0, std::size_t c1) {
+               dispatcher().active().channel_sums(
+                   a, b, n, c, plane, static_cast<int>(c0),
+                   static_cast<int>(c1), sum_a, sum_ab);
+             });
 }
 
+// BatchNorm's affine and input gradient split by image: a range of whole
+// images is a contiguous [images, c, plane] block with the same channels.
 void bn_forward(const float* x, float* y, float* xhat, int n, int c,
                 std::size_t plane, const float* mean, const float* inv_std,
                 const float* gamma, const float* beta) {
-  dispatcher().active().bn_forward(x, y, xhat, n, c, plane, mean, inv_std,
-                                   gamma, beta);
+  const std::size_t images = static_cast<std::size_t>(std::max(n, 0));
+  const std::size_t per_image = static_cast<std::size_t>(c) * plane;
+  for_ranges(split_for(images, images * per_image, 1), images,
+             [&](std::size_t, std::size_t i0, std::size_t i1) {
+               const std::size_t off = i0 * per_image;
+               dispatcher().active().bn_forward(
+                   x + off, y + off, xhat == nullptr ? nullptr : xhat + off,
+                   static_cast<int>(i1 - i0), c, plane, mean, inv_std, gamma,
+                   beta);
+             });
 }
 
 void bn_backward(const float* dy, const float* xhat, float* dx, int n, int c,
                  std::size_t plane, const float* gamma, const float* inv_std,
                  const double* sum_dy, const double* sum_dy_xhat,
                  double count) {
-  dispatcher().active().bn_backward(dy, xhat, dx, n, c, plane, gamma, inv_std,
-                                    sum_dy, sum_dy_xhat, count);
+  const std::size_t images = static_cast<std::size_t>(std::max(n, 0));
+  const std::size_t per_image = static_cast<std::size_t>(c) * plane;
+  for_ranges(split_for(images, images * per_image, 1), images,
+             [&](std::size_t, std::size_t i0, std::size_t i1) {
+               const std::size_t off = i0 * per_image;
+               dispatcher().active().bn_backward(
+                   dy + off, xhat + off, dx + off, static_cast<int>(i1 - i0),
+                   c, plane, gamma, inv_std, sum_dy, sum_dy_xhat, count);
+             });
 }
 
 // ------------------------------------------------------- naive references
@@ -330,24 +411,25 @@ float act_batch_max(const float* x, std::size_t n) {
   return m;
 }
 
-void act_quantize(const float* x, float* y, std::size_t n, float s, int bits) {
+void act_quantize(const float* x, float* y, std::uint8_t* pass, std::size_t n,
+                  float s, int bits) {
   if (bits <= 0) {
     for (std::size_t i = 0; i < n; ++i) y[i] = std::max(x[i], 0.0f);
-    return;
+  } else {
+    const float levels = static_cast<float>((1 << bits) - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float clamped = std::clamp(x[i], 0.0f, s);
+      y[i] = std::round(clamped / s * levels) / levels * s;
+    }
   }
-  const float levels = static_cast<float>((1 << bits) - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float clamped = std::clamp(x[i], 0.0f, s);
-    y[i] = std::round(clamped / s * levels) / levels * s;
+  for (std::size_t i = 0; pass != nullptr && i < n; ++i) {
+    pass[i] = x[i] > 0.0f && (bits <= 0 || x[i] < s);
   }
 }
 
-void act_quantize_backward(const float* x, const float* dy, float* dx,
-                           std::size_t n, float s, int bits) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool inside = x[i] > 0.0f && (bits <= 0 || x[i] < s);
-    dx[i] = inside ? dy[i] : 0.0f;
-  }
+void act_quantize_backward(const std::uint8_t* pass, const float* dy,
+                           float* dx, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dx[i] = pass[i] != 0 ? dy[i] : 0.0f;
 }
 
 void bn_channel_sums(const float* a, const float* b, int n, int c,

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace adapex::kernels {
 
@@ -81,7 +82,10 @@ void gemm_a_bt_packed_accumulate(const float* a, const float* bt, int ldbt,
 // Element-wise training passes of the activation quantizer (nn/quant.hpp)
 // and BatchNorm (nn/layers.hpp). Each is byte-identical to its ref:: form at
 // every tier; BatchNorm tensors are [n, c, plane] with one row of `plane`
-// contiguous elements per (image, channel).
+// contiguous elements per (image, channel). A pass over 64K elements or
+// more splits across the calling thread's work team (common/thread_pool.hpp)
+// by element range, image range (bn_forward, bn_backward) or channel range
+// (bn_channel_sums), with unchanged output bytes.
 
 /// The std::max fold of x from 0.0f: the largest positive element, or +0
 /// (NaNs, negatives and -0 never win).
@@ -89,14 +93,17 @@ float act_batch_max(const float* x, std::size_t n);
 
 /// Activation fake quantization with L = 2^bits - 1 levels:
 /// y = std::round(std::clamp(x, 0, s) / s * L) / L * s, so -0 and NaN pass
-/// through. bits <= 0 is plain ReLU, y = std::max(x, 0.0f). Throws Error
-/// when bits > 30.
-void act_quantize(const float* x, float* y, std::size_t n, float s, int bits);
+/// through. bits <= 0 is plain ReLU, y = std::max(x, 0.0f). When pass is
+/// not null it also receives the straight-through estimator's mask, one
+/// byte per element: 1 where 0 < x and (bits <= 0 or x < s), else 0 (so
+/// x == 0, x == s and NaN pass nothing). Throws Error when bits > 30.
+void act_quantize(const float* x, float* y, std::uint8_t* pass, std::size_t n,
+                  float s, int bits);
 
-/// Straight-through estimator of act_quantize: dx = dy where 0 < x and
-/// (bits <= 0 or x < s), else +0 (so x == 0 and x == s pass nothing).
-void act_quantize_backward(const float* x, const float* dy, float* dx,
-                           std::size_t n, float s, int bits);
+/// Straight-through estimator of act_quantize: dx = dy where the pass byte
+/// is nonzero, else +0.
+void act_quantize_backward(const std::uint8_t* pass, const float* dy,
+                           float* dx, std::size_t n);
 
 /// Per-channel sums of a pair of [n, c, plane] tensors, each one double
 /// chain over images then positions in ascending order:
@@ -144,9 +151,10 @@ void gemm_a_bt_accumulate(const float* a, const float* b, float* c, int m,
                           int k, int n);
 
 float act_batch_max(const float* x, std::size_t n);
-void act_quantize(const float* x, float* y, std::size_t n, float s, int bits);
-void act_quantize_backward(const float* x, const float* dy, float* dx,
-                           std::size_t n, float s, int bits);
+void act_quantize(const float* x, float* y, std::uint8_t* pass, std::size_t n,
+                  float s, int bits);
+void act_quantize_backward(const std::uint8_t* pass, const float* dy,
+                           float* dx, std::size_t n);
 void bn_channel_sums(const float* a, const float* b, int n, int c,
                      std::size_t plane, double* sum_a, double* sum_ab);
 void bn_forward(const float* x, float* y, float* xhat, int n, int c,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 
 namespace adapex::ops {
@@ -24,7 +25,9 @@ namespace {
 // the direct kernel) gain nothing from it and run one image per chunk.
 // Otherwise a chunk holds as many images as keep each of its panels (rows x
 // chunk patches) under kPanelCap floats, and at least one, so the
-// per-thread panels stay bounded whatever the batch size.
+// per-thread panels stay bounded whatever the batch size. With a work team
+// (common/thread_pool.hpp) a chunk also holds at most ceil(batch / team)
+// images, so every thread gets one; chunks are the unit a team splits.
 constexpr std::size_t kWidePlane = 512;
 constexpr std::size_t kPanelCap = std::size_t{64} * 1024;
 
@@ -32,24 +35,45 @@ int images_per_chunk(int batch, int rows, std::size_t patch) {
   const std::size_t per_image = static_cast<std::size_t>(rows) * patch;
   const std::size_t fit =
       patch >= kWidePlane || per_image == 0 ? 1 : kPanelCap / per_image;
-  return static_cast<int>(std::clamp<std::size_t>(
-      fit, 1, static_cast<std::size_t>(std::max(batch, 1))));
+  const std::size_t images = static_cast<std::size_t>(std::max(batch, 1));
+  const std::size_t team = team_size();
+  return static_cast<int>(
+      std::clamp<std::size_t>(fit, 1, (images + team - 1) / team));
 }
 
-/// Per-thread [rows][chunk patches] GEMM panels, grown on demand and reused
-/// across calls and layers so the training loop never allocates;
-/// thread_local keeps pool workers independent. filter_panel has F rows
-/// (forward output, gathered dOut), patch_panel C*k*k rows (im2col, dcol).
-float* filter_panel(std::size_t floats) {
-  thread_local std::vector<float> buf;
+/// Per-thread GEMM panels, grown on demand and reused across calls and
+/// layers so the training loop never allocates; thread_local keeps pool
+/// workers and team helpers independent. kFilter holds F rows x chunk
+/// patches (forward output, gathered dOut), kPatch C*k*k rows x chunk
+/// patches (im2col, dcol), kRow one image's im2row panel, and kPartial the
+/// per-image weight-gradient partials of conv2d_backward.
+enum class Panel { kFilter, kPatch, kRow, kPartial };
+
+float* thread_panel(Panel which, std::size_t floats) {
+  thread_local std::vector<float> bufs[4];
+  std::vector<float>& buf = bufs[static_cast<int>(which)];
   if (buf.size() < floats) buf.resize(floats);
   return buf.data();
 }
 
-float* patch_panel(std::size_t floats) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < floats) buf.resize(floats);
-  return buf.data();
+/// Adds images partial rows, `stride` floats apart, into dst[0, len) in
+/// ascending image order: dst[e] += part[0][e], then part[1][e], and so on,
+/// the sequence a serial `dst += acc` per image performs. Element ranges
+/// are independent, so they split across the team.
+void add_in_image_order(const float* part, int images, std::size_t stride,
+                        std::size_t len, float* dst) {
+  constexpr std::size_t kGrain = 4096;
+  const std::size_t ranges =
+      std::clamp<std::size_t>(len / kGrain, 1, team_size());
+  const std::size_t step = (len + ranges - 1) / ranges;
+  team_for(ranges, [&](std::size_t r) {
+    const std::size_t e0 = r * step;
+    const std::size_t e1 = std::min(len, e0 + step);
+    for (int img = 0; img < images; ++img) {
+      const float* p = part + static_cast<std::size_t>(img) * stride;
+      for (std::size_t e = e0; e < e1; ++e) dst[e] += p[e];
+    }
+  });
 }
 
 /// im2row of one image: row p = y * ow + x holds patch (y, x) in the
@@ -142,13 +166,14 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   const std::size_t image = static_cast<std::size_t>(cin) * h * w;
   const int chunk = images_per_chunk(batch, std::max(kdim, fout), patch);
-  float* col = patch_panel(static_cast<std::size_t>(kdim) * chunk * patch);
-  float* panel = filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
 
   Tensor out({batch, fout, oh, ow});
-  for (int n0 = 0; n0 < batch; n0 += chunk) {
+  // Chunks write disjoint output images, so they split across the team.
+  team_for((batch + chunk - 1) / chunk, [&](std::size_t c) {
+    const int n0 = static_cast<int>(c) * chunk;
     const int images = std::min(chunk, batch - n0);
     const std::size_t cols = static_cast<std::size_t>(images) * patch;
+    float* col = thread_panel(Panel::kPatch, kdim * cols);
     for (int i = 0; i < images; ++i) {
       im2col(input.data() + static_cast<std::size_t>(n0 + i) * image, cin,
              h, w, k, col + i * patch, cols);
@@ -157,7 +182,7 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
     // one-image GEMM would, seeded by the bias or by zero like the fresh
     // output. A one-image chunk's panel is its output image itself.
     float* optr = out.data() + static_cast<std::size_t>(n0) * fout * patch;
-    float* dst = images == 1 ? optr : panel;
+    float* dst = images == 1 ? optr : thread_panel(Panel::kFilter, fout * cols);
     for (int f = 0; f < fout; ++f) {
       std::fill(dst + f * cols, dst + (f + 1) * cols,
                 bias.empty() ? 0.0f : bias[static_cast<std::size_t>(f)]);
@@ -166,11 +191,11 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                              static_cast<int>(cols));
     for (int i = 0; images > 1 && i < images; ++i) {
       for (int f = 0; f < fout; ++f) {
-        std::memcpy(optr + (i * fout + f) * patch, panel + f * cols + i * patch,
+        std::memcpy(optr + (i * fout + f) * patch, dst + f * cols + i * patch,
                     patch * sizeof(float));
       }
     }
-  }
+  });
   return out;
 }
 
@@ -185,7 +210,7 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor* grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,
-                     std::vector<float>& col_scratch) {
+                     std::vector<float>& /*col_scratch*/) {
   check_conv_geometry(input, weight);
   const int batch = input.dim(0), cin = input.dim(1), h = input.dim(2),
             w = input.dim(3);
@@ -202,51 +227,76 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
   const std::size_t patch = static_cast<std::size_t>(oh) * ow;
   const std::size_t image = static_cast<std::size_t>(cin) * h * w;
   const int chunk = images_per_chunk(batch, std::max(kdim, fout), patch);
-  col_scratch.resize(patch * ldrow);
-  float* dout_panel =
-      filter_panel(static_cast<std::size_t>(fout) * chunk * patch);
-  float* dcol = patch_panel(static_cast<std::size_t>(kdim) * chunk * patch);
+  // A team finishes images in any order, so each image's dW and bias
+  // gradient land in its own partial row, added into dW and db in image
+  // order afterwards. The rows start at -0.0f, and -0 + acc == acc exactly,
+  // so each holds the accumulator a one-image pass adds. One thread runs
+  // the images in order and adds straight into dW and db, the same
+  // sequence without the extra pass over batch x |W| floats.
+  const bool partial_rows = team_size() > 1;
+  const std::size_t wsize = weight.numel();
+  const std::size_t stride = wsize + grad_bias.numel();
+  float* partials = partial_rows
+                        ? thread_panel(Panel::kPartial,
+                                       static_cast<std::size_t>(batch) * stride)
+                        : nullptr;
 
   if (grad_input != nullptr) *grad_input = Tensor(input.shape());
-  for (int n0 = 0; n0 < batch; n0 += chunk) {
+  // Chunks write disjoint partial rows and grad_input images, so they
+  // split across the team (or run in order on one thread).
+  team_for((batch + chunk - 1) / chunk, [&](std::size_t c) {
+    const int n0 = static_cast<int>(c) * chunk;
     const int images = std::min(chunk, batch - n0);
     const std::size_t cols = static_cast<std::size_t>(images) * patch;
     const float* dout0 =
         grad_output.data() + static_cast<std::size_t>(n0) * fout * patch;
+    const bool gather = grad_input != nullptr && images > 1;
+    float* rows = thread_panel(Panel::kRow, patch * ldrow);
+    float* dout_panel = gather ? thread_panel(Panel::kFilter, fout * cols)
+                               : nullptr;
     for (int i = 0; i < images; ++i) {
       const float* dout = dout0 + static_cast<std::size_t>(i) * fout * patch;
-      // dW += dOut * rows: one dot reduction over this image's patches per
-      // element, added to dW once per image.
+      float* dw = grad_weight.data();
+      float* db = grad_bias.data();
+      if (partial_rows) {
+        dw = partials + static_cast<std::size_t>(n0 + i) * stride;
+        db = dw + wsize;
+        std::fill(dw, dw + stride, -0.0f);
+      }
+      // One dot reduction over this image's patches per dW element.
       im2row(input.data() + static_cast<std::size_t>(n0 + i) * image, cin, h,
-             w, k, col_scratch.data(), ldrow);
-      kernels::gemm_a_bt_packed_accumulate(dout, col_scratch.data(), ldrow,
-                                           grad_weight.data(), fout,
+             w, k, rows, ldrow);
+      kernels::gemm_a_bt_packed_accumulate(dout, rows, ldrow, dw, fout,
                                            static_cast<int>(patch), kdim);
-      for (int f = 0; grad_input != nullptr && images > 1 && f < fout; ++f) {
+      for (int f = 0; gather && f < fout; ++f) {
         std::memcpy(dout_panel + f * cols + i * patch, dout + f * patch,
                     patch * sizeof(float));
       }
-      if (!grad_bias.empty()) {
-        for (int f = 0; f < fout; ++f) {
-          const float* drow = dout + static_cast<std::size_t>(f) * patch;
-          float acc = 0.0f;
-          for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
-          grad_bias[static_cast<std::size_t>(f)] += acc;
-        }
+      for (int f = 0; !grad_bias.empty() && f < fout; ++f) {
+        const float* drow = dout + static_cast<std::size_t>(f) * patch;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < patch; ++p) acc += drow[p];
+        db[f] += acc;
       }
     }
-    if (grad_input == nullptr) continue;
+    if (grad_input == nullptr) return;
     // dcol = W^T * dOut over the whole chunk (a one-image chunk's dOut is
     // already [F][oh*ow]), then scattered per image.
+    float* dcol = thread_panel(Panel::kPatch, kdim * cols);
     std::fill(dcol, dcol + kdim * cols, 0.0f);
-    kernels::gemm_at_b_accumulate(weight.data(),
-                                  images == 1 ? dout0 : dout_panel, dcol, kdim,
-                                  fout, static_cast<int>(cols));
+    kernels::gemm_at_b_accumulate(weight.data(), gather ? dout_panel : dout0,
+                                  dcol, kdim, fout, static_cast<int>(cols));
     for (int i = 0; i < images; ++i) {
       col2im_accumulate(
           dcol + i * patch, cols, cin, h, w, k,
           grad_input->data() + static_cast<std::size_t>(n0 + i) * image);
     }
+  });
+  if (!partial_rows) return;
+  add_in_image_order(partials, batch, stride, wsize, grad_weight.data());
+  if (!grad_bias.empty()) {
+    add_in_image_order(partials + wsize, batch, stride, grad_bias.numel(),
+                       grad_bias.data());
   }
 }
 

@@ -2,9 +2,11 @@
 // pooling, softmax/cross-entropy, and their backward passes.
 //
 // Forward/backward pairs implement exactly the math the nn layer graph needs
-// for quantization-aware training. All kernels are single-threaded and
-// deterministic; convolution is unpadded with stride 1 (the CNV topology the
-// paper evaluates uses only 3x3 valid convolutions).
+// for quantization-aware training. All passes are deterministic; the conv
+// passes split across the calling thread's work team, if it has one, with
+// byte-identical results at any team size. Convolution is unpadded with
+// stride 1 (the CNV topology the paper evaluates uses only 3x3 valid
+// convolutions).
 //
 // Their GEMMs are the blocked, vectorized kernels of tensor/kernels.hpp,
 // which callers that need a raw GEMM use directly; they are byte-identical
@@ -37,17 +39,20 @@ void col2im_accumulate(const float* col, std::size_t ldcol, int channels,
 /// Convolution forward. input [N,C,H,W], weight [F,C,k,k], bias [F] (may be
 /// empty), output [N,F,oh,ow]: each output element starts at its filter's
 /// bias (or 0) and adds the W * col products in the direct GEMM's order
-/// (tensor/kernels.hpp). Its im2col and output panels are per-thread
-/// buffers shared by every layer (see DESIGN.md "Kernel layer"), so
-/// `col_scratch` is left untouched; it keeps the signature of the
-/// conv2d_backward pair.
+/// (tensor/kernels.hpp). Chunks of images split across the calling thread's
+/// work team (common/thread_pool.hpp) with unchanged output bytes. The
+/// im2col and output panels are per-thread buffers shared by every layer
+/// (see DESIGN.md "Kernel layer"), so `col_scratch` is left untouched.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, std::vector<float>& col_scratch);
 
 /// Convolution backward: fills grad_input (same shape as input), accumulates
 /// into grad_weight (the weight's shape) and grad_bias ([F], or empty to
 /// skip). grad_output must be [N,F,oh,ow]; throws Error on any mismatch.
-/// `col_scratch` is resized to hold one image's im2row panel.
+/// Each image's weight and bias gradients are added in ascending image
+/// order, as one image at a time would, so the bytes do not depend on the
+/// calling thread's work team. Like the forward, it works in per-thread
+/// panels and leaves `col_scratch` untouched.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, Tensor& grad_input,
                      Tensor& grad_weight, Tensor& grad_bias,

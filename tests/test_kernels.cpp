@@ -14,12 +14,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "model/cnv.hpp"
+#include "model/serialize.hpp"
 #include "nn/eval.hpp"
 #include "nn/quant.hpp"
 #include "nn/trainer.hpp"
@@ -328,6 +332,48 @@ TEST(Kernels, ConvMatchesPerImageReferenceBitwise) {
   }
 }
 
+
+// ------------------------------------------------------------- work teams
+
+// The conv passes on work teams of 1 to 4 threads against the same calls
+// without a team, on every tiny CNV conv shape at batch 1, 5, 16 and 17 (5
+// and 17 leave uneven chunks): forward with and without bias, backward with
+// and without the input gradient and the bias gradient. dW starts with -0
+// entries and one image's dOut is all -0, so a partial that is not the
+// image's fresh accumulator, or partials added out of image order, change
+// the bytes.
+TEST(Kernels, ConvPassesByteIdenticalOnWorkTeams) {
+  auto run = [](const ConvOperands& o) {
+    ConvResult r = batched_conv(o);
+    Tensor dw = o.dw0;
+    Tensor no_bias_grad;
+    std::vector<float> scratch;
+    ops::conv2d_backward(o.x, o.wt, o.dy, nullptr, dw, no_bias_grad, scratch);
+    return std::make_pair(std::move(r), std::move(dw));
+  };
+  for (ConvCase cc : tiny_cnv_conv_cases()) {
+    if (cc.batch != 1) continue;
+    for (int batch : {1, 5, 16, 17}) {
+      cc.batch = batch;
+      ConvOperands o = make_conv_operands(cc);
+      for (std::size_t i = 0; i < o.dw0.numel(); i += 3) o.dw0[i] = -0.0f;
+      const std::size_t per_image = o.dy.numel() / batch;
+      std::fill_n(o.dy.data() + (batch / 2) * per_image, per_image, -0.0f);
+      const auto want = run(o);
+      for (std::size_t size : {1, 2, 3, 4}) {
+        WorkTeam team(size);
+        const WorkTeam::TeamScope scope(&team);
+        const auto got = run(o);
+        const std::string where = "team of " + std::to_string(size);
+        expect_conv_bitwise(want.first, got.first, cc, where.c_str());
+        EXPECT_TRUE(bitwise_equal(want.second, got.second))
+            << "dW without dX or db, " << where << " " << cc.cin << "->"
+            << cc.fout << " @" << cc.h << " batch " << batch;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- element-wise golden
 
 // The activation-quantizer and BatchNorm passes against their kernels::ref
@@ -420,15 +466,24 @@ void expect_act_quantizer_matches_reference(const char* isa) {
           if (off + n > x.size()) continue;
           const float* xp = x.data() + off;
           std::vector<float> got(n), want(n);
-          kernels::act_quantize(xp, got.data(), n, s, bits);
-          kernels::ref::act_quantize(xp, want.data(), n, s, bits);
+          std::vector<std::uint8_t> got_pass(n), want_pass(n);
+          kernels::act_quantize(xp, got.data(), got_pass.data(), n, s, bits);
+          kernels::ref::act_quantize(xp, want.data(), want_pass.data(), n, s,
+                                     bits);
           EXPECT_TRUE(same_bits(got, want))
               << "act_quantize s=" << s << " bits=" << bits << " n=" << n
               << " off=" << off << " " << where;
-          kernels::act_quantize_backward(xp, dy.data() + off, got.data(), n, s,
-                                         bits);
-          kernels::ref::act_quantize_backward(xp, dy.data() + off, want.data(),
-                                              n, s, bits);
+          EXPECT_EQ(got_pass, want_pass)
+              << "act_quantize pass mask s=" << s << " bits=" << bits
+              << " n=" << n << " off=" << off << " " << where;
+          kernels::act_quantize(xp, got.data(), nullptr, n, s, bits);
+          EXPECT_TRUE(same_bits(got, want))
+              << "act_quantize without a mask s=" << s << " bits=" << bits
+              << " n=" << n << " off=" << off << " " << where;
+          kernels::act_quantize_backward(got_pass.data(), dy.data() + off,
+                                         got.data(), n);
+          kernels::ref::act_quantize_backward(want_pass.data(),
+                                              dy.data() + off, want.data(), n);
           EXPECT_TRUE(same_bits(got, want))
               << "act_quantize_backward s=" << s << " bits=" << bits
               << " n=" << n << " off=" << off << " " << where;
@@ -486,7 +541,7 @@ void expect_act_quantizer_matches_reference(const char* isa) {
       }
       const Tensor y = q.forward(x, train);
       std::vector<float> want(x.numel());
-      kernels::ref::act_quantize(x.data(), want.data(), x.numel(),
+      kernels::ref::act_quantize(x.data(), want.data(), nullptr, x.numel(),
                                  std::max(ref_scale, 1e-12f), bits);
       EXPECT_TRUE(same_bits(q.scale(), ref_scale))
           << "scale bits=" << bits << " step=" << step << " " << where;
@@ -622,6 +677,101 @@ void expect_batchnorm_matches_reference(const char* isa) {
   }
 }
 
+// The split element-wise passes on work teams of 1 to 4 threads against
+// the same calls without a team: tiny-CNV planes above the 64K-element split
+// threshold (30x30 and 28x28 at batch 16 and 17, and 13 channels, which
+// leaves an uneven channel range) and one below it.
+TEST(Kernels, ElementwisePassesByteIdenticalOnWorkTeams) {
+  struct Outputs {
+    float max = 0.0f;
+    std::vector<float> q, relu, dq, y, xhat, y_eval, dx;
+    std::vector<std::uint8_t> pass, relu_pass;
+    std::vector<double> sum, sq, sum_dy, sum_dy_xhat;
+  };
+  struct BnShape {
+    int n, c;
+    std::size_t plane;
+  };
+  for (const BnShape& sh : {BnShape{16, 12, 900}, BnShape{17, 12, 784},
+                            BnShape{16, 13, 400}, BnShape{16, 24, 144}}) {
+    const std::size_t len = static_cast<std::size_t>(sh.n) * sh.c * sh.plane;
+    const auto cs = static_cast<std::size_t>(sh.c);
+    const std::vector<float> x = bn_input(sh.n, sh.c, sh.plane, 400 + len);
+    const std::vector<float> dy = bn_input(sh.n, sh.c, sh.plane, 500 + len);
+    const std::vector<float> mean = per_channel(sh.c, 0.2, 1.0, 5);
+    const std::vector<float> inv_std = per_channel(sh.c, 1.5, 0.5, 6);
+    const std::vector<float> gamma = per_channel(sh.c, 1.0, 0.3, 7);
+    const std::vector<float> beta = per_channel(sh.c, 0.0, 0.3, 8);
+    auto run = [&] {
+      Outputs o{};
+      o.max = kernels::act_batch_max(x.data(), len);
+      o.q.resize(len);
+      o.relu.resize(len);
+      o.dq.resize(len);
+      o.pass.resize(len);
+      o.relu_pass.resize(len);
+      kernels::act_quantize(x.data(), o.q.data(), o.pass.data(), len,
+                            0.6f * o.max, 2);
+      kernels::act_quantize(x.data(), o.relu.data(), o.relu_pass.data(), len,
+                            0.6f * o.max, 0);
+      kernels::act_quantize_backward(o.pass.data(), dy.data(), o.dq.data(),
+                                     len);
+      o.sum.resize(cs);
+      o.sq.resize(cs);
+      o.sum_dy.resize(cs);
+      o.sum_dy_xhat.resize(cs);
+      kernels::bn_channel_sums(x.data(), x.data(), sh.n, sh.c, sh.plane,
+                               o.sum.data(), o.sq.data());
+      o.y.resize(len);
+      o.xhat.resize(len);
+      o.y_eval.resize(len);
+      o.dx.resize(len);
+      kernels::bn_forward(x.data(), o.y.data(), o.xhat.data(), sh.n, sh.c,
+                          sh.plane, mean.data(), inv_std.data(), gamma.data(),
+                          beta.data());
+      kernels::bn_forward(x.data(), o.y_eval.data(), nullptr, sh.n, sh.c,
+                          sh.plane, mean.data(), inv_std.data(), gamma.data(),
+                          beta.data());
+      kernels::bn_channel_sums(dy.data(), o.xhat.data(), sh.n, sh.c, sh.plane,
+                               o.sum_dy.data(), o.sum_dy_xhat.data());
+      kernels::bn_backward(dy.data(), o.xhat.data(), o.dx.data(), sh.n, sh.c,
+                           sh.plane, gamma.data(), inv_std.data(),
+                           o.sum_dy.data(), o.sum_dy_xhat.data(),
+                           static_cast<double>(sh.n) * sh.plane);
+      return o;
+    };
+    auto same_doubles = [](const std::vector<double>& a,
+                           const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    const Outputs want = run();
+    for (std::size_t size : {1, 2, 3, 4}) {
+      WorkTeam team(size);
+      const WorkTeam::TeamScope scope(&team);
+      const Outputs got = run();
+      const auto where = ::testing::Message()
+                         << "team of " << size << " n=" << sh.n
+                         << " c=" << sh.c << " plane=" << sh.plane;
+      EXPECT_TRUE(same_bits(got.max, want.max)) << "act_batch_max " << where;
+      EXPECT_TRUE(same_bits(got.q, want.q)) << "act_quantize " << where;
+      EXPECT_TRUE(same_bits(got.relu, want.relu)) << "relu " << where;
+      EXPECT_EQ(got.pass, want.pass) << "pass mask " << where;
+      EXPECT_EQ(got.relu_pass, want.relu_pass) << "relu mask " << where;
+      EXPECT_TRUE(same_bits(got.dq, want.dq)) << "ste " << where;
+      EXPECT_TRUE(same_doubles(got.sum, want.sum)) << "sum " << where;
+      EXPECT_TRUE(same_doubles(got.sq, want.sq)) << "squares " << where;
+      EXPECT_TRUE(same_bits(got.y, want.y)) << "bn_forward " << where;
+      EXPECT_TRUE(same_bits(got.xhat, want.xhat)) << "xhat " << where;
+      EXPECT_TRUE(same_bits(got.y_eval, want.y_eval)) << "eval " << where;
+      EXPECT_TRUE(same_doubles(got.sum_dy, want.sum_dy)) << "sum dy " << where;
+      EXPECT_TRUE(same_doubles(got.sum_dy_xhat, want.sum_dy_xhat))
+          << "sum dy*xhat " << where;
+      EXPECT_TRUE(same_bits(got.dx, want.dx)) << "bn_backward " << where;
+    }
+  }
+}
+
 // ------------------------------------------------- narrow N and linear bias
 
 // Every GEMM against its reference at N narrower than one sliver, just
@@ -721,22 +871,25 @@ void expect_linear_matches_reference(const char* isa) {
 TEST(Kernels, ActQuantizerStePassesNothingAtTheClampEdges) {
   const float s = 0.75f;
   const std::vector<float> x = {0.0f, -0.0f, s, std::nextafter(s, 0.0f),
-                                std::nextafter(0.0f, 1.0f), 2.0f * s};
+                                std::nextafter(0.0f, 1.0f), 2.0f * s,
+                                std::numeric_limits<float>::quiet_NaN()};
   const std::vector<float> dy(x.size(), 1.0f);
-  std::vector<float> dx(x.size());
-  kernels::act_quantize_backward(x.data(), dy.data(), dx.data(), x.size(), s,
-                                 2);
-  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 0.0f, 1.0f, 1.0f, 0.0f}));
+  std::vector<float> y(x.size()), dx(x.size());
+  std::vector<std::uint8_t> pass(x.size());
+  kernels::act_quantize(x.data(), y.data(), pass.data(), x.size(), s, 2);
+  EXPECT_EQ(pass, (std::vector<std::uint8_t>{0, 0, 0, 1, 1, 0, 0}));
+  kernels::act_quantize_backward(pass.data(), dy.data(), dx.data(), x.size());
+  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 0.0f, 1.0f, 1.0f, 0.0f, 0.0f}));
   // ReLU (bits <= 0) has no upper clamp.
-  kernels::act_quantize_backward(x.data(), dy.data(), dx.data(), x.size(), s,
-                                 0);
-  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 1.0f, 1.0f, 1.0f, 1.0f}));
+  kernels::act_quantize(x.data(), y.data(), pass.data(), x.size(), s, 0);
+  kernels::act_quantize_backward(pass.data(), dy.data(), dx.data(), x.size());
+  EXPECT_TRUE(same_bits(dx, {0.0f, 0.0f, 1.0f, 1.0f, 1.0f, 1.0f, 0.0f}));
 }
 
 TEST(Kernels, ActQuantizeRejectsMoreThan30Bits) {
   const float x = 1.0f;
   float y = 0.0f;
-  EXPECT_THROW(kernels::act_quantize(&x, &y, 1, 1.0f, 31), Error);
+  EXPECT_THROW(kernels::act_quantize(&x, &y, nullptr, 1, 1.0f, 31), Error);
 }
 
 TEST(Kernels, AllSupportedIsaTiersAgreeBitwise) {
@@ -886,6 +1039,38 @@ TEST(Kernels, AugmentImageIntoMatchesAugmentImage) {
 
 TEST(Kernels, LinearForwardMatchesReferenceBitwise) {
   expect_linear_matches_reference(kernels::active_isa());
+}
+
+// Training on work teams of 1 to 4 threads gives the same parameter bytes
+// as training without one (the 4-argument call). Batches of 16 with a last
+// batch of 12, so a team of 3 splits unevenly.
+TEST(Kernels, TrainModelByteIdenticalOnWorkTeams) {
+  SyntheticSpec spec = cifar10_like_spec();
+  spec.train_size = 60;
+  spec.test_size = 10;
+  const SyntheticDataset data = make_synthetic(spec);
+  CnvConfig cfg = CnvConfig{}.scaled(0.1875);
+  cfg.num_classes = spec.num_classes;
+  TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 16;
+  auto trained = [&](std::size_t team) {
+    Rng rng(43);
+    BranchyModel model =
+        build_cnv_with_exits(cfg, paper_exits_config(false), rng);
+    if (team == 0) {
+      train_model(model, data.train, spec.flip_symmetry, tc);
+    } else {
+      train_model(model, data.train, spec.flip_symmetry, tc, team);
+    }
+    // Weights, BatchNorm statistics and activation scales.
+    return serialize_model(model);
+  };
+  const std::string serial = trained(0);
+  ASSERT_FALSE(serial.empty());
+  for (std::size_t team : {1, 2, 3, 4}) {
+    EXPECT_TRUE(trained(team) == serial) << "team of " << team;
+  }
 }
 
 // End-to-end keystone: a seeded train -> eval pipeline must produce

@@ -3,11 +3,14 @@
 // value-sensitive artifact-cache key.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -110,6 +113,84 @@ TEST(ThreadPool, EnvThreadCountParsing) {
   EXPECT_GE(ThreadPool::env_thread_count(), 1u);
 }
 
+TEST(WorkTeam, RunsEveryIndexOnceAtEverySize) {
+  for (std::size_t size : {1, 2, 3, 4}) {
+    WorkTeam team(size);
+    EXPECT_EQ(team.size(), size);
+    for (std::size_t count : {0, 1, 2, 7, 100}) {
+      std::vector<std::atomic<int>> hits(count);
+      // Reused across runs: every run must see the previous one finished.
+      for (int round = 0; round < 3; ++round) {
+        team.run(count, [&hits](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 3) << "size " << size;
+    }
+  }
+}
+
+TEST(WorkTeam, ScopeInstallsTheTeamAndRunsNeverNest) {
+  EXPECT_EQ(WorkTeam::current(), nullptr);
+  EXPECT_EQ(team_size(), 1u);
+  WorkTeam team(3);
+  {
+    const WorkTeam::TeamScope scope(&team);
+    EXPECT_EQ(WorkTeam::current(), &team);
+    EXPECT_EQ(team_size(), 3u);
+    // Inside a run no thread sees a team, so an inner team_for runs inline.
+    std::atomic<int> saw_team{0};
+    std::atomic<int> inner{0};
+    team_for(8, [&](std::size_t) {
+      if (team_size() != 1) saw_team.fetch_add(1, std::memory_order_relaxed);
+      team_for(4, [&](std::size_t) {
+        inner.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    EXPECT_EQ(saw_team.load(), 0);
+    EXPECT_EQ(inner.load(), 32);
+    EXPECT_EQ(WorkTeam::current(), &team);
+  }
+  EXPECT_EQ(WorkTeam::current(), nullptr);
+}
+
+TEST(WorkTeam, RethrowsTheFirstExceptionAndStaysUsable) {
+  WorkTeam team(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(team.run(64,
+                        [&ran](std::size_t i) {
+                          if (i == 5) throw ConfigError("index 5");
+                          ran.fetch_add(1, std::memory_order_relaxed);
+                        }),
+               ConfigError);
+  EXPECT_LE(ran.load(), 63);
+  std::atomic<int> count{0};
+  team.run(64, [&count](std::size_t) {
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(count.load(), 64);
+}
+
+TEST(WorkTeam, TeamsLargerThanTheHostFinish) {
+  // Two teams of one thread more than the host has cores run side by side:
+  // spinning helpers must yield and block rather than starve the owners.
+  const std::size_t size =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()) + 1;
+  std::atomic<long> total{0};
+  auto drive = [&] {
+    WorkTeam team(size);
+    for (int round = 0; round < 200; ++round) {
+      team.run(size * 2, [&total](std::size_t) {
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  };
+  std::thread a(drive), b(drive);
+  a.join();
+  b.join();
+  EXPECT_EQ(total.load(), static_cast<long>(2 * 200 * size * 2));
+}
+
 TEST(SeedDerivation, UniqueAcrossSweepAndRoots) {
   // The retrain seed for every (variant, rate) design point must be unique,
   // including across nearby root seeds — the old additive scheme placed all
@@ -130,10 +211,13 @@ TEST(SeedDerivation, UniqueAcrossSweepAndRoots) {
 }
 
 TEST(LibraryParallel, ByteIdenticalAcrossThreadCounts) {
-  // 2 threads gives each base family one worker; 4 also fans the sweep out.
-  // Compare the saved artifacts byte for byte, not just the in-memory rows.
+  // 2 threads gives each base family one worker; 3 leaves one idle during
+  // base training and gives sweep-tail retrains teams of 3 (uneven chunks);
+  // 4 gives each family a team of 2 and fans the sweep out; 8 gives teams
+  // of 4, more threads than a 4-core host has. Compare the saved artifacts
+  // byte for byte, not just the in-memory rows.
   std::vector<std::string> bytes;
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 3, 4, 8}) {
     auto spec = fast_spec();
     spec.num_threads = threads;
     const std::string path =
@@ -143,8 +227,48 @@ TEST(LibraryParallel, ByteIdenticalAcrossThreadCounts) {
     std::remove(path.c_str());
   }
   ASSERT_FALSE(bytes[0].empty());
-  EXPECT_EQ(bytes[0], bytes[1]);
-  EXPECT_EQ(bytes[0], bytes[2]);
+  for (std::size_t i = 1; i < bytes.size(); ++i) {
+    EXPECT_EQ(bytes[0], bytes[i]) << "run " << i;
+  }
+}
+
+TEST(LibraryParallel, EarlyExitOnlyResumeTrainsOnEveryWorker) {
+  // A journaled run, then a resume with every early-exit checkpoint
+  // removed: the no-exit points and the reference accuracy replay, so the
+  // early-exit family trains alone, on a team of all four threads. The
+  // resumed Library must equal the uninterrupted one byte for byte.
+  auto spec = fast_spec();
+  spec.num_threads = 4;
+  const std::string journal =
+      "/tmp/adapex_parallel_ee_resume_" + std::to_string(::getpid());
+  std::filesystem::remove_all(journal);
+  spec.journal_dir = journal;
+  GenerationReport fresh;
+  spec.report = &fresh;
+  const std::string want = generate_library(spec).to_json().dump(1);
+  EXPECT_EQ(fresh.base_train_families, 2u);
+  EXPECT_EQ(fresh.base_train_team, 2u);
+
+  const std::string dir = journal + "/" + library_cache_key(spec);
+  std::size_t removed = 0;
+  for (const PointOutcome& p : fresh.points) {
+    if (p.variant == ModelVariant::kNoExit) continue;
+    removed += std::filesystem::remove(dir + "/point_" +
+                                       std::to_string(p.index) + ".json");
+  }
+  ASSERT_GT(removed, 0u);
+
+  GenerationReport resumed;
+  spec.report = &resumed;
+  EXPECT_EQ(generate_library(spec).to_json().dump(1), want);
+  EXPECT_EQ(resumed.count(PointStatus::kReplayed),
+            fresh.points.size() - removed);
+  EXPECT_EQ(resumed.base_train_families, 1u);
+  EXPECT_EQ(resumed.base_train_team, 4u);
+  EXPECT_TRUE(resumed.summary().ends_with(" s on 1×4 threads"))
+      << resumed.summary();
+  EXPECT_EQ(resumed.to_json().at("base_train_team").as_number(), 4.0);
+  std::filesystem::remove_all(journal);
 }
 
 TEST(LibraryParallel, ThreadCountFromEnv) {

@@ -93,10 +93,11 @@ TEST(Quant, ActQuantizerSteMasksOutsideRange) {
   x.at2(0, 0) = -0.5f;  // below 0: blocked
   x.at2(0, 1) = 0.2f;   // inside: passes
   x.at2(0, 2) = 10.0f;  // above scale after first forward: blocked
-  aq.forward(x, true);
+  std::vector<std::uint8_t> pass;
+  aq.forward(x, true, &pass);
   Tensor dy({1, 3});
   dy.fill(1.0f);
-  Tensor dx = aq.backward(x, dy);
+  Tensor dx = aq.backward(pass, dy);
   EXPECT_FLOAT_EQ(dx.at2(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at2(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(dx.at2(0, 2), 0.0f);
